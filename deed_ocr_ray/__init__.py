@@ -12,7 +12,8 @@ Layout:
               regex fields, dedup, text stats) — the byte-identity
               contract lives here.
   stages/     batch transforms for ``Dataset.map_batches`` — the
-              dispatching ``Extractor`` actor class and friends.
+              stateless dispatching ``Extractor``, run as a task stage
+              fused with the parquet read, and friends.
   pipelines/  end-to-end Dataset pipelines (extract, dedup, similarity,
               relational, multimodal).
   state/      checkpoint manifests + lineage for resumable runs.

@@ -44,16 +44,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
     args._owns_ray = _init_ray(args.num_cpus)
     from .pipelines.extract_pipeline import run_extract
 
-    concurrency = None
-    if args.concurrency:
-        concurrency = (args.concurrency, args.concurrency)
     summary = run_extract(
         args.input,
         args.output,
         resume=args.resume,
         files_per_part=args.files_per_part,
         wave_parts=args.wave_parts,
-        concurrency=concurrency,
+        concurrency=args.concurrency or None,
         batch_size=args.batch_size if args.batch_size > 0 else None,
         max_payload_bytes=args.max_payload_bytes,
     )
@@ -116,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rows per extractor call (0 = byte-bounded blocks, "
                          "the default skew guard; ~15%% faster than row counts)")
     ex.add_argument("--concurrency", type=int, default=0,
-                    help="extraction actor count (0 = auto: ncpu - ncpu/16)")
+                    help="max concurrent extraction tasks (0 = one per free CPU)")
     ex.add_argument("--max-payload-bytes", type=int, default=256 * 1024 * 1024)
     ex.add_argument("--num-cpus", type=int, default=0, help="ray.init num_cpus (0 = default)")
     ex.add_argument("--strict", action="store_true",

@@ -34,7 +34,3 @@ def classify_exception(exc: BaseException) -> str:
     if "memory" in name or "oversize" in msg:
         return "oversize"
     return "unknown"
-
-
-def is_retryable(error_type: str) -> bool:
-    return ERROR_TYPES.get(error_type, True)

@@ -3,14 +3,17 @@
 Dataflow (SURVEY.md §7.1):
 
     read_parquet(shards, include_paths)        # (url, warc_ts, html, text, lang)
-      └─ map_batches(Extractor, concurrency=P) # one dispatching actor-pool stage:
-      │                                        #   sniff → html/pdf/text branch →
-      │                                        #   normalize → spans → fields → error rows
+      └─ map_batches(Extractor(...))           # one stateless dispatching task stage,
+      │                                        #   fused with the read: sniff →
+      │                                        #   html/pdf/text branch → normalize →
+      │                                        #   spans → fields → error rows
       └─ write_parquet(partition_cols=[part_id]) + per-partition manifests
 
 Scale design decisions:
-  * ONE extraction stage — the heavy ``html`` binary column is read once
-    from the object store and never crosses another stage boundary.
+  * ONE extraction stage, run as plain tasks fused with the parquet
+    read (``ReadParquet->MapBatches(Extractor)``) — the heavy ``html``
+    binary column goes from the reader straight into the extractor in
+    the same worker and never crosses the object store.
   * Partition unit = input shard file group; rows carry ``part_id`` so
     ``write_parquet(partition_cols=...)`` gives one output directory per
     input shard group — the resume/retry unit (resumable output layout).
@@ -50,38 +53,33 @@ from ..state.manifest import (
 
 
 def pool_config(ncpu: int) -> "tuple[int, float]":
-    """(actor_count, num_cpus_per_actor) for the extraction pool: one
-    actor per CPU with a fractional reservation that always leaves at
-    least one WHOLE CPU free — a 1-CPU streaming read task must be able
-    to schedule while the full pool is resident, or the executor
-    deadlocks. See extract_dataset for the measurements."""
-    import math
-
-    k = max(2, ncpu)
-    spare = max(1.0, ncpu / 5.0)
-    # floor at 3 decimals: rounding UP would nibble into the spare CPU
-    return k, max(0.25, math.floor((ncpu - spare) / k * 1000) / 1000)
+    """(task_slots, num_cpus_per_task) of the extraction stage: one task
+    slot per CPU, each task reserving one whole CPU."""
+    return max(1, ncpu), 1.0
 
 
 def extract_dataset(
     ds: "ray.data.Dataset",
     path_to_part: Optional[Dict[str, int]] = None,
-    concurrency: Optional[Union[int, tuple]] = None,
+    concurrency: Optional[int] = None,
     batch_size: Optional[int] = None,
     max_payload_bytes: int = 256 * 1024 * 1024,
 ) -> "ray.data.Dataset":
     """Attach the extraction stage to a pages Dataset (no sink).
 
-    Default pool is PRESTARTED at one actor per CPU with FRACTIONAL
-    ``num_cpus`` (min == max): actors at ``num_cpus=1`` pin every CPU
-    permanently, so the streaming parquet-read tasks get only the
-    leftover slots and drip-feed blocks — ds.stats() showed the actor
-    pool 40% idle at 32 CPUs while the read operator spent 10s wall on
-    3s of work. Reserving ~1/5 of the cluster as fractional headroom
-    lets reads interleave: measured 13.6k -> 24-26k docs/s at 32 CPUs,
-    neutral at 8. (The autoscaling ramp from 1 actor costs ~2x wall on
-    short jobs, hence min==max; at least one whole spare CPU is kept so
-    a 1-CPU read task can always schedule — zero spare deadlocks.)
+    ``Extractor`` holds no per-worker state (its patterns and stop-word
+    tables are built at import), so an INSTANCE is passed and Ray runs
+    it as a task stage fused with the parquet read. Each read task
+    extracts its own blocks, nothing has to start before the first
+    block is read, and no CPU stays reserved after the job ends. Passing
+    the class instead would make Ray start an actor pool on every job
+    and wave (~1 s at 4 CPUs), keep its CPUs reserved while it sits
+    idle (busy 39% of a 4-CPU job, perfbench ``extract.pool_busy``),
+    and hang at ``num_cpus=1``, where the pool leaves no whole CPU for
+    a read task.
+
+    ``concurrency`` caps the number of concurrent extraction tasks
+    (``None`` = one per free CPU).
 
     ``batch_size=None`` (default) feeds each UDF call one BLOCK, whose
     size is BYTE-bounded by ``DataContext.target_max_block_size`` — the
@@ -89,21 +87,11 @@ def extract_dataset(
     small-row blocks instead of inflating a fixed-row batch to
     gigabytes (also measured ~15% faster than row-count batching).
     """
-    num_cpus_per_actor = 1.0
-    if concurrency is None:
-        ncpu = int(ray.available_resources().get("CPU", 4)) if ray.is_initialized() else 4
-        k, num_cpus_per_actor = pool_config(ncpu)
-        concurrency = (k, k)
     return ds.map_batches(
-        Extractor,
-        fn_constructor_kwargs={
-            "path_to_part": path_to_part,
-            "max_payload_bytes": max_payload_bytes,
-        },
+        Extractor(path_to_part=path_to_part, max_payload_bytes=max_payload_bytes),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
-        num_cpus=num_cpus_per_actor,
     )
 
 
@@ -118,7 +106,7 @@ def run_extract(
     resume: bool = False,
     files_per_part: int = 1,
     wave_parts: Optional[int] = 8,
-    concurrency: Optional[Union[int, tuple]] = None,
+    concurrency: Optional[int] = None,
     batch_size: Optional[int] = None,
     max_payload_bytes: int = 256 * 1024 * 1024,
     target_block_bytes: int = 32 * 1024 * 1024,
@@ -163,7 +151,7 @@ def _run_extract_inner(
     resume: bool,
     files_per_part: int,
     wave_parts: Optional[int],
-    concurrency: Optional[Union[int, tuple]],
+    concurrency: Optional[int],
     batch_size: Optional[int],
     max_payload_bytes: int,
 ) -> Dict[str, Any]:
@@ -202,7 +190,6 @@ def _run_extract_inner(
     n_rows = n_ok = 0
     error_counts: collections.Counter = collections.Counter()
     for wave in waves:
-        wave_t0 = time.perf_counter()
         path_to_part = {f: pid for pid in wave for f in parts[pid]}
         ds = read_pq(sorted(path_to_part), include_paths=True)
         ds = extract_dataset(
@@ -213,7 +200,6 @@ def _run_extract_inner(
             max_payload_bytes=max_payload_bytes,
         )
         ds.write_parquet(out_dir, partition_cols=["part_id"])
-        wave_ms = (time.perf_counter() - wave_t0) * 1000.0
         # publish manifests (atomic, after data) with read-back stats
         # over two tiny columns — columnar pruning keeps this cheap.
         for pid in wave:
@@ -228,7 +214,6 @@ def _run_extract_inner(
                 error_counts=stats["errors"],
                 bytes_in=sum(os.path.getsize(f) for f in parts[pid]),
                 bytes_out=dir_bytes(pdir),
-                wall_ms=wave_ms / len(wave),
                 extract_us_sum=stats["extract_us"],
             )
             write_manifest(out_dir, m)

@@ -662,9 +662,8 @@ def q_doc_authority(sf_dir: str) -> "ray.data.Dataset":
     docs = read_pq(extracted_corpus_for(sf_dir),
                    columns=["url", "warc_ts", "status"])
 
-    # task-pool stage, NOT a second actor pool: the extraction stage
-    # already holds a prestarted fractional-CPU pool, and a second pool
-    # competing for whole-CPU reservations can starve the read tasks
+    # task-pool stage, NOT an actor pool: actors hold their CPU
+    # reservations for the whole job and can starve the read tasks
     # into a scheduling deadlock (NOTES.md landmine). ray.get of the
     # broadcast ref is a local object-store hit after the first task
     # per worker.

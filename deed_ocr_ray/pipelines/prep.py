@@ -178,9 +178,6 @@ FROM s
 
 # -------------------------------------- cross-doc paragraph dedup (C4)
 
-PARA_PARTS = 256
-
-
 def q_paragraph_dedup(sf_dir: str) -> "ray.data.Dataset":
     """C4-style cross-document paragraph dedup over the corpus's WET
     text column — the pre-extracted text a Common-Crawl-style input

@@ -364,15 +364,6 @@ Q_ASOF_SQL = asof_last_ship_sql()
 
 # ------------------------------------------------------- grouped quantiles
 
-def _qdisc(sorted_vals: np.ndarray, q: float) -> int:
-    """DuckDB ``quantile_disc`` semantics: element at index
-    ceil(q*n) - 1 of the sorted values (probed empirically; exact order
-    statistic, so no float-interpolation drift vs the oracle)."""
-    n = len(sorted_vals)
-    idx = max(0, int(np.ceil(q * n)) - 1)
-    return int(sorted_vals[idx])
-
-
 def q_price_quantiles(sf_dir: str) -> "ray.data.Dataset":
     """Discrete p50/p90 of order price (cents) per order priority.
     Columns: o_orderpriority, p50_cents, p90_cents, n_orders."""

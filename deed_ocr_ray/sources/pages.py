@@ -14,8 +14,6 @@ from typing import List, Optional, Sequence, Union
 
 import ray.data
 
-PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
-
 
 def find_shards(input_path: Union[str, Sequence[str]]) -> List[str]:
     """Sorted parquet shard list from a file, directory, glob, or list."""

@@ -1,12 +1,13 @@
-"""The dispatching extraction stage — one actor-pool ``map_batches`` class.
+"""The dispatching extraction stage — one stateless ``map_batches`` callable.
 
-Mirrors the reference's single-engine-instance-per-workflow design
-(deed_ocr/ocr/gemini_ocr.py:28-46 engine constructed once, reused for
-every page/doc; held by the workflow, deed_ocr/workflow.py:59-63): the
-class is passed to ``Dataset.map_batches(Extractor, concurrency=N)``;
-``__init__`` runs once per actor (state: stop-word tables, compiled
-patterns — module-level compiled, referenced here; partition map),
-``__call__`` runs per Arrow batch.
+The reference constructs one engine per workflow and reuses it for every
+page/doc (deed_ocr/ocr/gemini_ocr.py:28-46, deed_ocr/workflow.py:59-63).
+Here everything heavy — compiled patterns, stop-word tables — is built
+at module import, so an ``Extractor`` instance carries only its
+configuration (partition map, payload cap). The pipeline passes the
+instance to ``Dataset.map_batches(Extractor(...))``, which Ray runs as a
+plain task stage fused with the parquet read; ``__call__`` runs per
+Arrow batch.
 
 Both payload branches live in one dispatching stage keyed on
 ``payload_kind`` (the reference's ``--ocr-engine`` dispatch,
@@ -231,7 +232,7 @@ def _build_fields(
 
 
 class Extractor:
-    """Actor-pool batch extractor: ``pa.Table`` in -> ``pa.Table`` out.
+    """Stateless batch extractor: ``pa.Table`` in -> ``pa.Table`` out.
 
     ``path_to_part`` maps input file path -> checkpoint partition id
     (rows carry ``part_id`` so ``write_parquet(partition_cols=...)``
@@ -249,10 +250,6 @@ class Extractor:
         self.path_to_part = path_to_part or {}
         self.max_payload_bytes = max_payload_bytes
         self.branches = branches
-        # Touch the language tables once per actor (A1 pattern): all
-        # compiled patterns are module-level; stop-word frozensets are
-        # built at import. Nothing heavy remains per batch.
-        stopwords_for("en")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows

@@ -39,7 +39,6 @@ class PartitionManifest:
     error_counts: Dict[str, int]
     bytes_in: int
     bytes_out: int
-    wall_ms: float
     extract_us_sum: int
 
     def to_json(self) -> Dict[str, Any]:

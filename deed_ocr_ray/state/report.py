@@ -16,13 +16,14 @@ from __future__ import annotations
 import collections
 from typing import Any, Dict, List, Optional
 
+from ..functions.errors import ERROR_TYPES
 from .manifest import load_manifests
 
 # Error classes worth re-running (transient / environment-shaped), vs
 # poison rows (content-shaped: re-running cannot change the outcome).
 # Mirrors the reference's retry_recommended classification
 # (deed_ocr/workflow.py:86-108).
-TRANSIENT_ERRORS = frozenset({"oversize", "unknown"})
+TRANSIENT_ERRORS = frozenset(k for k, retry in ERROR_TYPES.items() if retry)
 
 
 def run_report(out_dir: str, planned_parts: Optional[int] = None) -> Dict[str, Any]:
@@ -30,14 +31,12 @@ def run_report(out_dir: str, planned_parts: Optional[int] = None) -> Dict[str, A
     ms = load_manifests(out_dir)
     errors: collections.Counter = collections.Counter()
     rows = ok = bytes_in = bytes_out = extract_us = 0
-    wall_ms = 0.0
     for m in ms.values():
         rows += m["row_count"]
         ok += m["ok_count"]
         bytes_in += m["bytes_in"]
         bytes_out += m["bytes_out"]
         extract_us += m.get("extract_us_sum", 0)
-        wall_ms += m.get("wall_ms", 0.0)
         errors.update(m["error_counts"])
     n_err = rows - ok
     return {
@@ -53,7 +52,6 @@ def run_report(out_dir: str, planned_parts: Optional[int] = None) -> Dict[str, A
         "bytes_in": bytes_in,
         "bytes_out": bytes_out,
         "extract_cpu_s": extract_us / 1e6,
-        "wall_ms_sum": wall_ms,
     }
 
 

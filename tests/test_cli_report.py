@@ -43,6 +43,27 @@ def test_run_report_aggregates_manifests(run_dir):
     assert "rows:" in txt and "errors by type:" in txt
 
 
+def test_run_report_reads_manifests_with_legacy_wall_ms(tmp_path):
+    """Manifests written before the per-partition ``wall_ms`` field was
+    dropped still load and roll up next to current ones."""
+    from deed_ocr_ray.state.manifest import PartitionManifest, write_manifest
+
+    out = str(tmp_path)
+    common = dict(lineage_id="x", input_files=["a.parquet"], row_count=10,
+                  ok_count=9, error_counts={"decode_error": 1}, bytes_in=100,
+                  bytes_out=50, extract_us_sum=2_000_000)
+    write_manifest(out, PartitionManifest(part_id=0, **common))
+    legacy = manifest_path(out, 1)
+    with open(legacy, "w") as f:
+        json.dump(dict(common, part_id=1, wall_ms=123.0), f)
+    s = run_report(out)
+    assert s["parts_completed"] == 2
+    assert s["row_count"] == 20 and s["error_counts"] == {"decode_error": 2}
+    assert s["extract_cpu_s"] == 4.0
+    assert "wall_ms_sum" not in s
+    assert "rows:" in format_report(s, retry_candidates(out))
+
+
 def test_cost_breakdown_rollup(run_dir):
     """G6 price-table roll-up (workflow.py:618-698 analogue): unit
     prices × manifest counters, structured + formatted breakdown,

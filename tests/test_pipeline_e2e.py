@@ -181,15 +181,65 @@ def test_iter_extracted_streams_batches(ray_session, corpus_dir, tmp_path):
     assert n_batches >= total // 64
 
 
-def test_pool_config_always_leaves_a_whole_spare_cpu():
-    """Deadlock guard: at every cluster size, total actor reservation
-    leaves >= 1 whole CPU so a 1-CPU read task can schedule."""
-    from deed_ocr_ray.pipelines.extract_pipeline import pool_config
+_ONE_CPU_JOB = """
+import sys
+import ray
+from ray.data import DataContext
+from deed_ocr_ray.pipelines.extract_pipeline import run_extract
 
-    for ncpu in (1, 2, 3, 4, 5, 8, 16, 32, 64, 128, 256):
-        k, c = pool_config(ncpu)
-        assert k >= 2 and 0.25 <= c <= 1.0
-        assert ncpu - k * c >= 1.0 - 1e-9 or ncpu <= 2, (ncpu, k, c)
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+print(run_extract(sys.argv[1], sys.argv[2], files_per_part=2, wave_parts=2)["n_rows"])
+ray.shutdown()
+"""
+
+
+def test_extract_completes_on_one_cpu(corpus_dir, tmp_path):
+    """Deadlock guard: the job must finish on a 1-CPU cluster, where a
+    resident extraction pool can leave no whole CPU for the read tasks.
+    Runs in its own process because the shared ``ray_session`` has 4
+    CPUs; the process group is killed if it hangs."""
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (repo, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_JOB, corpus_dir, str(tmp_path / "out")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("extraction did not finish within 120 s at num_cpus=1")
+    assert proc.returncode == 0, err[-2000:]
+    assert int(out.split()[-1]) == SF_TEST["n_rows"]
+
+
+def test_extract_runs_as_task_stage(ray_session, corpus_dir):
+    """The extractor runs as plain tasks (no actor pool to start per job
+    or wave); its operator keeps the ``MapBatches(Extractor)`` name."""
+    import ray.data as rd
+
+    from deed_ocr_ray.pipelines.extract_pipeline import extract_dataset
+    from deed_ocr_ray.sources.pages import find_shards, read_pq
+
+    ds = extract_dataset(read_pq(find_shards(corpus_dir)[:2], include_paths=True),
+                         concurrency=2).materialize()
+    ctx = rd.DataContext.get_current()
+    prev, ctx.verbose_stats_logs = ctx.verbose_stats_logs, True
+    try:
+        stats = ds.stats()
+    finally:
+        ctx.verbose_stats_logs = prev
+    assert "MapBatches(Extractor)" in stats
+    # only ActorPoolMapOperator adds a 'pending_actors' extra metric
+    assert "'pending_actors'" not in stats, stats
 
 
 def test_failed_wave_restores_data_context(ray_session, corpus_dir, tmp_path,
