@@ -73,24 +73,17 @@ def _extract_spans_query(sf_dir: str) -> Any:
 def _url_dedup_query(sf_dir: str) -> Any:
     """Cross-corpus url exact dedup: first capture wins by warc_ts
     (cross-row D1 over the synthesized pages corpus). Coarse-partition
-    pattern: shuffle on ``hash(url) % 256``, resolve exact urls with a
-    vectorized in-partition groupby (per-key map_groups pays one UDF
-    call per mostly-singleton key)."""
-    import numpy as np
+    pattern: keyed exchange on ``url`` (256 parts), resolve exact urls
+    with a vectorized in-partition groupby (per-key map_groups pays one
+    UDF call per mostly-singleton key)."""
     import pandas as pd
 
     from deed_ocr_ray.pipelines.corpus import pages_corpus_for
+    from deed_ocr_ray.pipelines.exchange import keyed_exchange
     from deed_ocr_ray.sources.pages import read_pages
 
     corpus = pages_corpus_for(sf_dir)
     ds = read_pages(corpus, columns=["url", "warc_ts"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        # vectorized (C-level) string hashing; any deterministic hash
-        # works here — the partition id is internal to the shuffle
-        h = pd.util.hash_array(np.asarray(t["url"].to_pylist(), dtype=object))
-        return t.append_column(
-            "part", pa.array((h % 256).astype(np.int32), type=pa.int32()))
 
     def first_by_ts(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["url", "warc_ts"]).drop_duplicates("url", keep="first")
@@ -99,11 +92,7 @@ def _url_dedup_query(sf_dir: str) -> Any:
             "warc_ts": pa.Array.from_pandas(g["warc_ts"], type=pa.timestamp("us")),
         })
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(first_by_ts, batch_format="pandas")
-    )
+    return keyed_exchange(ds, "url", first_by_ts, parts=256)
 
 
 def _pdf_layout_query(sf_dir: str) -> Any:

@@ -120,18 +120,3 @@ def ngram_windows_from_tokens(toks: pa.Array, n: int) -> Tuple[np.ndarray, np.nd
         cols = [pc.take(flat, pa.array(base + k)) for k in range(n)]
         ng = pc.binary_join_element_wise(*cols, " ")
     return parent, j, _plain(ng)
-
-
-def hash_part_pa(arr, parts: int) -> np.ndarray:
-    """Deterministic vectorized partition ids for an Arrow string array
-    (polars ahash, fixed seed — stable across worker processes for the
-    pinned polars build; builtin ``hash`` is per-process randomized and
-    MUST NOT cross workers). Only co-location matters to callers, so
-    the hash need not match :func:`analysis._hash_part`."""
-    import polars as pl
-
-    a = _plain(arr)
-    if len(a) == 0:
-        return np.empty(0, dtype=np.int32)
-    h = pl.from_arrow(a).hash(seed=0).to_numpy()
-    return (h % parts).astype(np.int32)

@@ -2,11 +2,13 @@
 al. / Dolma-style), per-document TF-IDF top-k, lag-window event gaps,
 multi-grain ROLLUP revenue, and one-pass distributed correlation.
 
-Round-3 widening #2 of the training-data operator family. Design rules
-shared with ``curation.py``:
+Round-3 widening #2 of the training-data operator family. Design
+rules:
 
-- shuffles are COARSE (``hash(key) % P`` partitions, vectorized
-  resolution inside each partition) — never per-key ``map_groups``;
+- shuffles are COARSE: ``exchange.keyed_exchange`` (or, where one
+  stream mixes doc-id and n-gram keys, ``exchange.part_ids`` per piece
+  and ``exchange.part_exchange``) with vectorized resolution inside
+  each partition — never per-key ``map_groups``;
 - float outputs are produced by the SAME single IEEE op tree on both
   the Ray side and the DuckDB oracle (``ln``/``sqrt``/``*``/``/`` are
   bit-identical between glibc libm and DuckDB on this platform —
@@ -29,19 +31,8 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 from ..sources.pages import read_pq
-
-# Coarse shuffle width: enough partitions that one partition's rows fit
-# a worker heap at corpus scale, few enough that per-partition overhead
-# stays negligible at sf0.01 (same constant family as url_dedup's 256).
-N_PARTS = 64
-
-
-def _hash_part(strs: "pd.Series | list", parts: int = N_PARTS) -> np.ndarray:
-    """Deterministic string-hash partition ids (process-seed-free,
-    vectorized) — builtin ``hash`` is randomized per process and MUST
-    NOT be used as a shuffle key across Ray workers."""
-    h = pd.util.hash_array(np.asarray(strs, dtype=object))
-    return (h % parts).astype(np.int32)
+from .exchange import (PARTS, coalesce_for_join, join_parts_for, keyed_exchange,
+                       part_exchange, part_ids)
 
 
 # ------------------------------------- duplicate n-gram span coverage
@@ -88,7 +79,6 @@ def q_dup_ngram_coverage(sf_dir: str, n: int = 5, min_count: int = 2) -> "ray.da
         # all window rows; downstream groups/sorts, order is free.
         # real rows shuffle by n-gram; sentinels by doc id (spreads the
         # one-row-per-doc stream instead of hot-spotting partition of "")
-        sent_part = (dids % N_PARTS).astype(np.int32)
         win_dids = dids[parent]
         return pa.table({
             "doc_id": pa.array(np.concatenate([dids, win_dids]), type=pa.int64()),
@@ -101,7 +91,8 @@ def q_dup_ngram_coverage(sf_dir: str, n: int = 5, min_count: int = 2) -> "ray.da
                                 np.zeros(len(j), dtype=np.int64)]),
                 type=pa.int64()),
             "part": pa.array(
-                np.concatenate([sent_part, tk.hash_part_pa(ng, N_PARTS)]),
+                np.concatenate([part_ids(pa.array(dids), PARTS),
+                                part_ids(ng, PARTS)]),
                 type=pa.int32()),
         })
 
@@ -146,21 +137,9 @@ def q_dup_ngram_coverage(sf_dir: str, n: int = 5, min_count: int = 2) -> "ray.da
                                  type=pa.float64()),
         })
 
-    deduped = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count_filter, batch_format="pandas")
-    )
-
-    def add_doc_part(t: pa.Table) -> pa.Table:
-        part = (t["doc_id"].to_numpy() % N_PARTS).astype(np.int32)
-        return t.append_column("part", pa.array(part, type=pa.int32()))
-
-    return (
-        deduped.map_batches(add_doc_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(coverage, batch_format="pandas")
-    )
+    deduped = part_exchange(ds.map_batches(explode, batch_format="pyarrow"),
+                            count_filter)
+    return keyed_exchange(deduped, "doc_id", coverage)
 
 
 def dup_ngram_coverage_sql(n: int = 5, min_count: int = 2) -> str:
@@ -222,7 +201,6 @@ def q_tfidf_topk(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
             "doc_id": g["doc_id"],
             "term": g["term"],
             "tf": g["count_all"].cast(pa.int64()),
-            "part": pa.array(tk.hash_part_pa(g["term"], N_PARTS), type=pa.int32()),
         })
 
     def attach_df(g: pd.DataFrame) -> pa.Table:
@@ -254,21 +232,9 @@ def q_tfidf_topk(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
             "rk": pa.array(t["rk"].to_numpy(), type=pa.int64()),
         })
 
-    with_df = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(attach_df, batch_format="pandas")
-    )
-
-    def add_doc_part(t: pa.Table) -> pa.Table:
-        part = (t["doc_id"].to_numpy() % N_PARTS).astype(np.int32)
-        return t.append_column("part", pa.array(part, type=pa.int32()))
-
-    return (
-        with_df.map_batches(add_doc_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(topk, batch_format="pandas")
-    )
+    with_df = keyed_exchange(ds.map_batches(pairs, batch_format="pyarrow"),
+                             "term", attach_df)
+    return keyed_exchange(with_df, "doc_id", topk)
 
 
 def tfidf_topk_sql(k: int = 5) -> str:
@@ -312,10 +278,6 @@ def q_event_gaps(sf_dir: str) -> "ray.data.Dataset":
     ds = read_pq(f"{sf_dir}/events.parquet",
                                columns=["event_id", "user_id", "ts"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        part = (t["user_id"].to_numpy() % N_PARTS).astype(np.int32)
-        return t.append_column("part", pa.array(part, type=pa.int32()))
-
     def gaps(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts", "event_id"])
         u = g["user_id"].to_numpy()
@@ -334,11 +296,7 @@ def q_event_gaps(sf_dir: str) -> "ray.data.Dataset":
             "gap_us": pa.array(gap[same], type=pa.int64()),
         })
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(gaps, batch_format="pandas")
-    )
+    return keyed_exchange(ds, "user_id", gaps)
 
 
 Q_EVENT_GAPS_SQL = """
@@ -544,8 +502,6 @@ def q_retention(sf_dir: str, horizon: int = RETENTION_DAYS) -> "ray.data.Dataset
         return pa.table({
             "user_id": pa.array(df["user_id"].to_numpy(), type=pa.int64()),
             "d": pa.array(df["d"].to_numpy(), type=pa.int64()),
-            "part": pa.array((df["user_id"].to_numpy() % N_PARTS).astype(np.int32),
-                             type=pa.int32()),
         })
 
     def per_user(g: pd.DataFrame) -> pa.Table:
@@ -563,9 +519,8 @@ def q_retention(sf_dir: str, horizon: int = RETENTION_DAYS) -> "ray.data.Dataset
         })
 
     agg = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_user, batch_format="pandas")
+        keyed_exchange(ds.map_batches(pairs, batch_format="pyarrow"),
+                       "user_id", per_user)
         .groupby("d")
         .aggregate(Sum("n_active", alias_name="n_active"),
                    Sum("n_retained", alias_name="n_retained"))
@@ -1006,7 +961,6 @@ def q_token_rarity(sf_dir: str, rare_max: int = RARE_MAX) -> "ray.data.Dataset":
         return pa.table({
             "doc_id": dids.cast(pa.int64()),
             "tok": flat.cast(pa.string()),
-            "part": pa.array(tk.hash_part_pa(flat, N_PARTS), type=pa.int32()),
         })
 
     def fold(g: pd.DataFrame) -> pa.Table:
@@ -1028,9 +982,8 @@ def q_token_rarity(sf_dir: str, rare_max: int = RARE_MAX) -> "ray.data.Dataset":
         })
 
     return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas")
+        keyed_exchange(ds.map_batches(explode, batch_format="pyarrow"),
+                       "tok", fold)
         .groupby("doc_id")
         .aggregate(Sum("n_tokens", alias_name="n_tokens"),
                    Sum("rarity_mass", alias_name="rarity_mass"),
@@ -1087,8 +1040,6 @@ def q_remove_dup_ngrams(sf_dir: str, n: int = 5, min_count: int = 2) -> "ray.dat
     ints/strings, so the oracle hash is exact.
     Columns: doc_id, n_tokens, n_removed, clean_text.
     """
-    from .dedup import _coalesce_for_join, _join_parts_for
-
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
 
@@ -1106,8 +1057,8 @@ def q_remove_dup_ngrams(sf_dir: str, n: int = 5, min_count: int = 2) -> "ray.dat
             "ng": pa.concat_arrays([pa.nulls(len(dids), pa.string()).fill_null(""),
                                     ng.cast(pa.string())]),
             "part": pa.array(
-                np.concatenate([(dids % N_PARTS).astype(np.int32),
-                                tk.hash_part_pa(ng, N_PARTS)]),
+                np.concatenate([part_ids(pa.array(dids), PARTS),
+                                part_ids(ng, PARTS)]),
                 type=pa.int32()),
         })
 
@@ -1144,19 +1095,10 @@ def q_remove_dup_ngrams(sf_dir: str, n: int = 5, min_count: int = 2) -> "ray.dat
             "starts": pa.array(lists, type=pa.string()),
         })
 
-    def add_doc_part(t: pa.Table) -> pa.Table:
-        part = (t["doc_id"].to_numpy() % N_PARTS).astype(np.int32)
-        return t.append_column("part", pa.array(part, type=pa.int32()))
-
-    per_doc = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count_filter, batch_format="pandas")
-        .map_batches(add_doc_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(starts_list, batch_format="pandas")
-    )
-    per_doc, n_docs = _coalesce_for_join(per_doc)
+    dup_starts = part_exchange(ds.map_batches(explode, batch_format="pyarrow"),
+                               count_filter)
+    per_doc, n_docs = coalesce_for_join(
+        keyed_exchange(dup_starts, "doc_id", starts_list))
     if n_docs == 0:  # empty corpus: the join operator can't take it
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], type=pa.int64()),
@@ -1166,7 +1108,7 @@ def q_remove_dup_ngrams(sf_dir: str, n: int = 5, min_count: int = 2) -> "ray.dat
         }))
 
     joined = ds.join(per_doc, join_type="inner",
-                     num_partitions=_join_parts_for(n_docs), on=("doc_id",))
+                     num_partitions=join_parts_for(n_docs), on=("doc_id",))
 
     def rebuild(t: pa.Table) -> pa.Table:
         from ..functions import tokens as tk
@@ -1291,8 +1233,8 @@ def q_lm_score(sf_dir: str) -> "ray.data.Dataset":
             "tf": pa.concat_arrays([pa.nulls(len(dids), pa.int64()).fill_null(0),
                                     tk._plain(g["count_all"].cast(pa.int64()))]),
             "part": pa.array(
-                np.concatenate([(dids % N_PARTS).astype(np.int32),
-                                tk.hash_part_pa(g["bg"], N_PARTS)]),
+                np.concatenate([part_ids(pa.array(dids), PARTS),
+                                part_ids(g["bg"], PARTS)]),
                 type=pa.int32()),
         })
 
@@ -1334,9 +1276,7 @@ def q_lm_score(sf_dir: str) -> "ray.data.Dataset":
         return t.append_column("lm_score", pa.array(s, type=pa.float64()))
 
     return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas")
+        part_exchange(ds.map_batches(explode, batch_format="pyarrow"), fold)
         .groupby("doc_id")
         .aggregate(Sum("nb_part", alias_name="n_bigrams"),
                    Sum("c_part", alias_name="c_sum"))

@@ -358,12 +358,15 @@ def q_term_stats(sf_dir: str, min_len: int = 7, k: int = 50) -> "ray.data.Datase
         .groupby("term")
         .aggregate(Count(alias_name="df"), Sum("cnt", alias_name="tf"))
     )
-    top = agg.sort(["df", "term"], descending=[True, False]).limit(k)
-    return top.map_batches(
-        lambda t: t.append_column(
-            "n_docs", pa.array([n_docs] * len(t), type=pa.int64())),
-        batch_format="pyarrow",
-    )
+    def top_k(t: pa.Table) -> pa.Table:
+        top = t.sort_by([("df", "descending"), ("term", "ascending")]).slice(0, k)
+        return top.append_column(
+            "n_docs", pa.array([n_docs] * top.num_rows, type=pa.int64()))
+
+    # one block holding the (vocabulary-sized) aggregate, not Ray's
+    # sort + limit: the sort's empty range partitions are schema-less
+    # blocks, which every downstream operator re-emits
+    return agg.repartition(1).map_batches(top_k, batch_format="pyarrow")
 
 
 def term_stats_sql(min_len: int = 7, k: int = 50) -> str:

@@ -38,6 +38,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 from ..sources.pages import read_pq
+from .exchange import JOIN_PARTS, coalesce_for_join, join_parts_for
 
 # ------------------------------------------------------------- exact dedup
 
@@ -122,7 +123,6 @@ def minhash_signature(text: str) -> np.ndarray:
 
 
 N_SHUFFLE_PARTS = 512  # coarse shuffle key: buckets per map_groups call
-JOIN_PARTS = 16  # hash-join partitions for the pair⋈signature joins
 
 
 def _sig_table(t: pa.Table) -> pa.Table:
@@ -262,26 +262,6 @@ def _est_jaccard_from_sigs(t: pa.Table) -> pa.Table:
     })
 
 
-def _coalesce_for_join(ds: "ray.data.Dataset", rows_per_block: int = 65536):
-    """Materialize + repartition a small Dataset into NON-EMPTY blocks
-    before feeding it to ``Dataset.join``.
-
-    Why: Ray's hash-shuffle short-circuits zero-row input blocks
-    without broadcasting their schema (hash_shuffle.py:223-225 in Ray
-    2.49), so when the first block a join shuffles happens to be empty,
-    aggregator partitions that receive no non-empty shard finalize a
-    zero-column table and ``pa.Table.join`` fails with "No match for
-    key field". Datasets coming out of filters/groupbys are full of
-    typed empty blocks, making that a coin flip. Returns
-    ``(dataset, n_rows)``; callers must handle ``n_rows == 0`` (the
-    join operator cannot)."""
-    ds = ds.materialize()
-    n = ds.count()
-    if n == 0:
-        return ds, 0
-    return ds.repartition(max(1, min(JOIN_PARTS, n // rows_per_block + 1))), n
-
-
 def _join_pairs_with(
     pairs: "ray.data.Dataset",
     side_table: "ray.data.Dataset",
@@ -304,10 +284,6 @@ def _join_pairs_with(
     j1 = pairs.join(sa, join_type="inner", num_partitions=num_partitions, on=("doc_a",))
     sb = side_table.map_batches(rename("doc_b", "_b"), batch_format="pyarrow")
     return j1.join(sb, join_type="inner", num_partitions=num_partitions, on=("doc_b",))
-
-
-def _join_parts_for(n_rows: int, rows_per_part: int = 65536) -> int:
-    return max(1, min(JOIN_PARTS, n_rows // rows_per_part + 1))
 
 
 _EMPTY_PAIRS = pa.table({
@@ -337,13 +313,13 @@ def q_minhash_pairs(sf_dir: str, min_est: float = 0.5) -> "ray.data.Dataset":
     # (observed: plan never finishes at 8 CPUs); the pair list is the
     # SMALL near-dup candidate set, so the barrier is cheap — and the
     # coalesce sidesteps Ray's empty-block schema-broadcast race (see
-    # _coalesce_for_join).
-    cand, n_cand = _coalesce_for_join(cand)
+    # coalesce_for_join).
+    cand, n_cand = coalesce_for_join(cand)
     if n_cand == 0:
         return ray.data.from_arrow(_EMPTY_PAIRS)
     joined = _join_pairs_with(
         cand, sigs, "sig",
-        num_partitions=_join_parts_for(max(n_cand, sigs.count())),
+        num_partitions=join_parts_for(max(n_cand, sigs.count())),
     )
     verified = joined.map_batches(_est_jaccard_from_sigs, batch_format="pyarrow")
     return verified.map_batches(
@@ -844,8 +820,8 @@ def q_minhash_validate(sf_dir: str) -> "ray.data.Dataset":
     est_jaccard, exact_jaccard. (No SQL oracle: sketch internals.)"""
     # barrier: pairs' plan already holds two joins; chaining two more
     # joins onto it in one streaming plan deadlocks, and the join
-    # output is mostly empty blocks (see _coalesce_for_join)
-    pairs, n_pairs = _coalesce_for_join(q_minhash_pairs(sf_dir))
+    # output is mostly empty blocks (see coalesce_for_join)
+    pairs, n_pairs = coalesce_for_join(q_minhash_pairs(sf_dir))
     if n_pairs == 0:
         return ray.data.from_arrow(
             _EMPTY_PAIRS.append_column(
@@ -857,7 +833,7 @@ def q_minhash_validate(sf_dir: str) -> "ray.data.Dataset":
     sh = ds.map_batches(_shingle_table, batch_format="pyarrow").materialize()
     joined = _join_pairs_with(
         pairs, sh, "sh",
-        num_partitions=_join_parts_for(max(n_pairs, sh.count())),
+        num_partitions=join_parts_for(max(n_pairs, sh.count())),
     )
 
     def exact(t: pa.Table) -> pa.Table:
@@ -925,9 +901,9 @@ def q_neardup_clusters(
             "nbr": pa.concat_arrays([b.cast(pa.int64()), a.cast(pa.int64())]),
         })
 
-    edges, n_edges = _coalesce_for_join(
+    edges, n_edges = coalesce_for_join(
         pairs.map_batches(symmetrize, batch_format="pyarrow"))
-    n_parts = _join_parts_for(n_edges)
+    n_parts = join_parts_for(n_edges)
 
     # initial labels: each node's min neighbour (sweep 0 folded in)
     labels = edges.groupby("node").aggregate(Min("nbr", alias_name="label"))
@@ -941,7 +917,7 @@ def q_neardup_clusters(
     prev_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
 
     for _ in range(max_iters):
-        lab_join, n_lab = _coalesce_for_join(labels)
+        lab_join, n_lab = coalesce_for_join(labels)
         if n_lab == 0:  # pragma: no cover - defensive
             break
         # neighbour messages: every edge forwards its node's label
@@ -1003,7 +979,7 @@ def q_cluster_keep_best(sf_dir: str, min_est: float = 0.5,
     from .relational import BROADCAST_ROWS_CUTOFF
 
     clusters = q_neardup_clusters(sf_dir, min_est=min_est)
-    clusters, n_cl = _coalesce_for_join(
+    clusters, n_cl = coalesce_for_join(
         clusters.map_batches(lambda t: t.select(["doc_id", "rep_id"]),
                              batch_format="pyarrow"))
     if n_cl == 0:
@@ -1039,7 +1015,7 @@ def q_cluster_keep_best(sf_dir: str, min_est: float = 0.5,
         joined = docs.map_batches(probe, batch_format="pyarrow")
     else:  # distributed join path, pinned via cutoff=0 in tests
         joined = clusters.join(docs, join_type="inner",
-                               num_partitions=_join_parts_for(n_cl),
+                               num_partitions=join_parts_for(n_cl),
                                on=("doc_id",))
 
     def decide(g: pd.DataFrame) -> pa.Table:

@@ -17,8 +17,8 @@ Shuffle-conscious shapes (these hold at 10^12 documents / 10^8 hosts):
   the global ``groupby(src_host, dst_host)`` — the exchange carries
   distinct host-pairs per block, not one row per anchor tag.
 * **pagerank** iterates over HOST-cardinality tables only (ranks and
-  edges, never documents), join-FREE: ranks and edges share a
-  ``hash(src_host) % NP`` partition column, one ``groupby(part)``
+  edges, never documents), join-FREE: ranks and edges share an
+  ``exchange.part_ids(src_host)`` partition column, one ``groupby(part)``
   shuffle co-locates them per iteration, a vectorized pandas merge
   computes contributions, and a ``groupby(dst)`` Sum folds them;
   dangling mass comes from one scalar aggregate of the host-sized
@@ -41,6 +41,7 @@ from ray.data.aggregate import Sum
 
 from ..functions.sniff import JUNK_REPLACEMENT_RATIO, decode_html
 from .corpus import pages_corpus_for
+from .exchange import coalesce_for_join, part_ids
 
 # whole <a> tag (attrs + body; nested <a> is invalid HTML, body is
 # non-greedy to the nearest close tag), then href / rel parsed from the
@@ -380,11 +381,7 @@ def pagerank_dataset(
     join). Fixed iteration count → deterministic output; audited
     against a dense numpy reference in tests/test_linkgraph.py.
     Columns: host, rank."""
-    import numpy as np
-
-    from .dedup import _coalesce_for_join
-
-    edges, n_edges = _coalesce_for_join(edges)
+    edges, n_edges = coalesce_for_join(edges)
     if n_edges == 0:
         return ray.data.from_arrow(pa.table({
             "host": pa.array([], type=pa.string()),
@@ -392,9 +389,8 @@ def pagerank_dataset(
         }))
     n_parts = max(1, min(64, n_edges // 65536 + 1))
 
-    def _part_of(hosts_arr) -> pa.Array:
-        h = pd.util.hash_array(np.asarray(hosts_arr, dtype=object))
-        return pa.array((h % n_parts).astype(np.int32), type=pa.int32())
+    def _part_of(hosts) -> pa.Array:
+        return pa.array(part_ids(hosts, n_parts), type=pa.int32())
 
     def _hosts_both(t: pa.Table) -> pa.Table:
         both = pa.concat_arrays([
@@ -417,9 +413,8 @@ def pagerank_dataset(
     # out-link probabilities, per-src, inside one partition shuffle
     # (vectorized transform per partition — no join, no per-key UDF)
     def _edge_part(t: pa.Table) -> pa.Table:
-        src = t["src_host"].to_pylist()
         return pa.table({
-            "part": _part_of(src),
+            "part": _part_of(t["src_host"]),
             "src_host": t["src_host"],
             "dst_host": t["dst_host"],
             "n_links": t["n_links"],
@@ -446,10 +441,9 @@ def pagerank_dataset(
     init_rank = 1.0 / n_hosts
 
     def _rank_rows(t: pa.Table) -> pa.Table:
-        src = t["host"].to_pylist()
         n = t.num_rows
         return pa.table({
-            "part": _part_of(src),
+            "part": _part_of(t["host"]),
             "src_host": t["host"],
             "dst_host": pa.nulls(n, type=pa.string()),
             "p": pa.nulls(n, type=pa.float64()),
@@ -492,9 +486,8 @@ def pagerank_dataset(
 
         def _next(t: pa.Table, base: float = base) -> pa.Table:
             n = t.num_rows
-            src = t["dst_host"].to_pylist()
             return pa.table({
-                "part": _part_of(src),
+                "part": _part_of(t["dst_host"]),
                 "src_host": t["dst_host"],
                 "dst_host": pa.nulls(n, type=pa.string()),
                 "p": pa.nulls(n, type=pa.float64()),

@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 from ..sources.pages import read_pq
+from .exchange import coalesce_for_join, join_parts_for, keyed_exchange
 
 
 def _cents(arr: pa.ChunkedArray) -> pa.ChunkedArray:
@@ -220,10 +221,9 @@ def attach_dim(
     * ``n_dim > cutoff``: distributed ``Dataset.join``, partitions
       sized by the larger side. ``coalesce=True`` guards fact inputs
       that passed through a groupby/filter (empty-first-block join
-      landmine, see dedup._coalesce_for_join).
+      landmine, see exchange.coalesce_for_join).
     """
     from .broadcast import cached_get
-    from .dedup import _coalesce_for_join, _join_parts_for
 
     n_dim = _parquet_rows(spec.path)
     if n_dim <= cutoff:
@@ -257,12 +257,12 @@ def attach_dim(
     dim = read_pq(spec.path, columns=spec.columns).map_batches(
         spec.transform, batch_format="pyarrow")
     if coalesce:
-        fact, n_fact = _coalesce_for_join(fact)
+        fact, n_fact = coalesce_for_join(fact)
         fact_rows = max(fact_rows, n_fact)
     # NOTE: Ray's join drops the right key column, so both plans emit
     # fact columns + the dim's out columns — identical schemas
     return fact.join(dim, join_type="inner",
-                     num_partitions=_join_parts_for(max(n_dim, fact_rows)),
+                     num_partitions=join_parts_for(max(n_dim, fact_rows)),
                      on=(fact_key,), right_on=(spec.key,))
 
 
@@ -592,8 +592,6 @@ def q3_shipping_priority(
     """
     import pyarrow.dataset as pads
 
-    from .dedup import _coalesce_for_join, _join_parts_for
-
     date = np.datetime64(Q3_DATE, "us")
 
     def building_only(t: pa.Table) -> pa.Table:
@@ -638,8 +636,8 @@ def q3_shipping_priority(
 
     # the fact-fact exchange: both sides passed through filters, so
     # both get the empty-first-block coalesce guard
-    o_seg, n_o = _coalesce_for_join(o_seg)
-    lis, n_l = _coalesce_for_join(li.map_batches(slim_li, batch_format="pyarrow"))
+    o_seg, n_o = coalesce_for_join(o_seg)
+    lis, n_l = coalesce_for_join(li.map_batches(slim_li, batch_format="pyarrow"))
     if n_o == 0 or n_l == 0:
         return ray.data.from_arrow(pa.table({
             "l_orderkey": pa.array([], type=pa.int64()),
@@ -648,7 +646,7 @@ def q3_shipping_priority(
             "revenue_cents": pa.array([], type=pa.int64()),
         }))
     joined = lis.join(o_seg, join_type="inner",
-                      num_partitions=_join_parts_for(max(n_o, n_l)),
+                      num_partitions=join_parts_for(max(n_o, n_l)),
                       on=("l_orderkey",), right_on=("o_orderkey",))
 
     # final rollup is by the INT orderkey only (date/priority are
@@ -658,18 +656,12 @@ def q3_shipping_priority(
     # measured seconds per block (the top_parts_per_nation pathology),
     # and the global sort+limit collapses to a per-partition top-k
     # combiner + one tiny final partition.
-    n_parts = 16
-
     def order_partial(t: pa.Table) -> pa.Table:
         g = (t.select(["l_orderkey", "o_orderdate", "o_orderpriority", "rev"])
              .group_by(["l_orderkey"], use_threads=False)
              .aggregate([("rev", "sum"), ("o_orderdate", "min"),
                          ("o_orderpriority", "min")]))
-        part = pc.cast(pc.bit_wise_and(g["l_orderkey"].combine_chunks()
-                                       .cast(pa.int64()), n_parts - 1),
-                       pa.int32())
         return pa.table({
-            "part": part,
             "l_orderkey": g["l_orderkey"],
             "o_orderdate": g["o_orderdate_min"],
             "o_orderpriority": g["o_orderpriority_min"],
@@ -695,9 +687,9 @@ def q3_shipping_priority(
             "revenue_cents": pa.array(d["rev_sum"].to_numpy(), type=pa.int64()),
         })
 
-    cand = (joined.map_batches(order_partial, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(local_topk, batch_format="pandas"))
+    cand = keyed_exchange(
+        joined.map_batches(order_partial, batch_format="pyarrow"),
+        "l_orderkey", local_topk, parts=16)
     return cand.sort(["revenue_cents", "o_orderdate", "l_orderkey"],
                      descending=[True, False, False]).limit(k)
 
@@ -784,7 +776,6 @@ def q_top_parts_per_nation(
     # shuffle key stays a single int64); supplier SCALES with sf ->
     # size-dispatched attach_dim
     nname = _nation_name_map(sf_dir)
-    n_parts = 16
 
     def supp_nation(t: pa.Table) -> pa.Table:
         return pa.table({"s_suppkey": t["s_suppkey"],
@@ -810,9 +801,7 @@ def q_top_parts_per_nation(
         g = (pa.table({"key": key, "rev": t["rev"]})
              .group_by(["key"], use_threads=False)
              .aggregate([("rev", "sum")]))
-        part = pc.cast(pc.bit_wise_and(g["key"], n_parts - 1), pa.int32())
-        return pa.table({"part": part, "key": g["key"],
-                         "rev": g["rev_sum"].cast(pa.int64())})
+        return pa.table({"key": g["key"], "rev": g["rev_sum"].cast(pa.int64())})
 
     partials = joined.map_batches(nation_partial, batch_format="pyarrow")
 
@@ -838,7 +827,7 @@ def q_top_parts_per_nation(
                                       type=pa.int64()),
         })
 
-    cand = partials.groupby("part").map_groups(local_topk, batch_format="pandas")
+    cand = keyed_exchange(partials, "key", local_topk, parts=16)
 
     def final_topk(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:

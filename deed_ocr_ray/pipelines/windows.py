@@ -3,14 +3,11 @@
 Operators a training-data/feature pipeline needs that Ray Data has no
 primitive for, expressed as compositions per SURVEY.md §2 guidance
 (custom operator rule: map_batches + groupby().map_groups + sort when
-semantics allow). All use the COARSE-partition pattern (group by
-``key % N_PARTS``, resolve exact keys vectorized inside the partition)
-because per-key ``map_groups`` pays one UDF call per key (see
-dedup.MinHasher for measurements).
+semantics allow). The keyed ones go through ``exchange.keyed_exchange``
+on their window/join key and resolve exact keys vectorized inside each
+partition, because per-key ``map_groups`` pays one UDF call per key
+(see dedup.MinHasher for measurements).
 
-Partitioning assumption (documented per the custom-operator rule): one
-coarse partition must hold ALL rows of each contained key — guaranteed
-because the shuffle key is a pure function of the join/window key.
 Money values aggregate in integer cents so running sums are
 bit-identical to the DuckDB oracle regardless of addition order.
 """
@@ -22,8 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 from ..sources.pages import read_pq
-
-N_PARTS = 64
+from .exchange import coalesce_for_join, join_parts_for, keyed_exchange
 
 
 def _counts_upto(lk: np.ndarray, lp: np.ndarray, rk: np.ndarray,
@@ -69,7 +65,7 @@ def q_running_total(sf_dir: str) -> "ray.data.Dataset":
         columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
     )
 
-    def part(t: pa.Table) -> pa.Table:
+    def to_cents(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         # DuckDB ROUND() is half-away-from-zero; Arrow defaults to
@@ -80,7 +76,6 @@ def q_running_total(sf_dir: str) -> "ray.data.Dataset":
             pa.int64(),
         )
         return pa.table({
-            "part": pc.cast(pc.bit_wise_and(t["o_custkey"], N_PARTS - 1), pa.int32()),
             "o_orderkey": t["o_orderkey"],
             "o_custkey": t["o_custkey"],
             "o_orderdate": t["o_orderdate"],
@@ -96,11 +91,8 @@ def q_running_total(sf_dir: str) -> "ray.data.Dataset":
             "running_cents": pa.array(run.to_numpy(), type=pa.int64()),
         })
 
-    return (
-        ds.map_batches(part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(windows, batch_format="pandas")
-    )
+    return keyed_exchange(ds.map_batches(to_cents, batch_format="pyarrow"),
+                          "o_custkey", windows)
 
 
 Q_RUNNING_TOTAL_SQL = """
@@ -124,13 +116,6 @@ def q_order_rank(sf_dir: str) -> "ray.data.Dataset":
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
     )
 
-    def part(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return t.append_column(
-            "part", pc.cast(pc.bit_wise_and(t["o_custkey"], N_PARTS - 1), pa.int32())
-        )
-
     def ranks(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(
             ["o_custkey", "o_totalprice", "o_orderkey"],
@@ -143,11 +128,7 @@ def q_order_rank(sf_dir: str) -> "ray.data.Dataset":
             "rnk": pa.array(rnk.to_numpy(), type=pa.int64()),
         })
 
-    return (
-        ds.map_batches(part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(ranks, batch_format="pandas")
-    )
+    return keyed_exchange(ds, "o_custkey", ranks)
 
 
 Q_ORDER_RANK_SQL = """
@@ -266,6 +247,29 @@ WHERE c_custkey NOT IN
 ASOF_PROBE_DAYS = 60  # fulfillment probe: shipped within 60 days?
 
 
+def _orders_and_ships(sf_dir: str) -> "ray.data.Dataset":
+    """Orders (``side`` 0, ts = o_orderdate) and their shipments
+    (``side`` 1, ts = l_shipdate) as one common-schema (key, ts, side)
+    stream — the input of the as-of and range joins on orderkey."""
+    import pyarrow.compute as pc
+
+    def tagger(key: str, ts: str, side: int):
+        def tag(t: pa.Table) -> pa.Table:
+            return pa.table({
+                "key": pc.cast(t[key], pa.int64()),
+                "ts": t[ts],
+                "side": pa.array([side] * t.num_rows, type=pa.int8()),
+            })
+        return tag
+
+    orders = read_pq(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderdate"])
+    ships = read_pq(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"])
+    return orders.map_batches(tagger("o_orderkey", "o_orderdate", 0),
+                              batch_format="pyarrow").union(
+        ships.map_batches(tagger("l_orderkey", "l_shipdate", 1),
+                          batch_format="pyarrow"))
+
+
 def q_asof_last_ship(sf_dir: str, probe_days: int = ASOF_PROBE_DAYS) -> "ray.data.Dataset":
     """As-of join (Ray Data has no primitive): for each order, the
     latest shipment (``lineitem.l_shipdate``) of that order at or
@@ -280,38 +284,6 @@ def q_asof_last_ship(sf_dir: str, probe_days: int = ASOF_PROBE_DAYS) -> "ray.dat
     nothing; shipments genuinely interleave with the probe window.)
     Columns: o_orderkey, last_ship_ts, n_shipped."""
     delta = np.timedelta64(probe_days * 86_400_000_000, "us")
-    orders = read_pq(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate"],
-    )
-    ships = read_pq(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
-    )
-
-    def tag_orders(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "part": pc.cast(pc.bit_wise_and(t["o_orderkey"], N_PARTS - 1), pa.int32()),
-            "key": pc.cast(t["o_orderkey"], pa.int64()),
-            "ts": t["o_orderdate"],
-            "side": pa.array([0] * t.num_rows, type=pa.int8()),
-        })
-
-    def tag_ships(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "part": pc.cast(pc.bit_wise_and(t["l_orderkey"], N_PARTS - 1), pa.int32()),
-            "key": pc.cast(t["l_orderkey"], pa.int64()),
-            "ts": t["l_shipdate"],
-            "side": pa.array([1] * t.num_rows, type=pa.int8()),
-        })
-
-    both = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        ships.map_batches(tag_ships, batch_format="pyarrow")
-    )
-
     def asof(g: pd.DataFrame) -> pa.Table:
         side = g["side"].to_numpy()
         lk = g["key"].to_numpy()[side == 0]
@@ -341,7 +313,7 @@ def q_asof_last_ship(sf_dir: str, probe_days: int = ASOF_PROBE_DAYS) -> "ray.dat
             "n_shipped": pa.array(n_le, type=pa.int64()),
         })
 
-    return both.groupby("part").map_groups(asof, batch_format="pandas")
+    return keyed_exchange(_orders_and_ships(sf_dir), "key", asof)
 
 
 def asof_last_ship_sql(probe_days: int = ASOF_PROBE_DAYS) -> str:
@@ -454,13 +426,6 @@ def q_sessionize(sf_dir: str) -> "ray.data.Dataset":
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
     )
 
-    def part(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return t.append_column(
-            "part", pc.cast(pc.bit_wise_and(t["user_id"], N_PARTS - 1), pa.int32())
-        )
-
     def sessions(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts", "event_id"])
         gap = pd.Timedelta(minutes=SESSION_GAP_MIN)
@@ -481,16 +446,7 @@ def q_sessionize(sf_dir: str) -> "ray.data.Dataset":
             "n_events": pa.array(agg["n_events"].to_numpy(), type=pa.int64()),
         })
 
-    # sort-based groupby on the coarse part key (the drop-in since r1):
-    # no aggregator-actor startup tax (a keyed hash repartition costs
-    # ~2.5 s of actors on this sub-second query); its old "failed to
-    # hash the schemas" spam came from parquet pandas metadata, fixed
-    # at the read by read_pq's schema strip
-    return (
-        ds.map_batches(part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(sessions, batch_format="pandas")
-    )
+    return keyed_exchange(ds, "user_id", sessions)
 
 
 Q_SESSIONIZE_SQL = f"""
@@ -639,38 +595,6 @@ def q_range_join_ship(sf_dir: str, days: int = RANGE_DAYS) -> "ray.data.Dataset"
     zero output; see ``q_asof_last_ship``.)
     Columns: o_orderkey, n_ship_window, first_ship_ts."""
     delta = np.timedelta64(days * 86_400_000_000, "us")
-    orders = read_pq(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate"],
-    )
-    ships = read_pq(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
-    )
-
-    def tag_orders(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "part": pc.cast(pc.bit_wise_and(t["o_orderkey"], N_PARTS - 1), pa.int32()),
-            "key": pc.cast(t["o_orderkey"], pa.int64()),
-            "ts": t["o_orderdate"],
-            "side": pa.array([0] * t.num_rows, type=pa.int8()),
-        })
-
-    def tag_ships(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "part": pc.cast(pc.bit_wise_and(t["l_orderkey"], N_PARTS - 1), pa.int32()),
-            "key": pc.cast(t["l_orderkey"], pa.int64()),
-            "ts": t["l_shipdate"],
-            "side": pa.array([1] * t.num_rows, type=pa.int8()),
-        })
-
-    both = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        ships.map_batches(tag_ships, batch_format="pyarrow")
-    )
-
     def ranged(g: pd.DataFrame) -> pa.Table:
         side = g["side"].to_numpy()
         lk = g["key"].to_numpy()[side == 0]
@@ -702,7 +626,7 @@ def q_range_join_ship(sf_dir: str, days: int = RANGE_DAYS) -> "ray.data.Dataset"
             ),
         })
 
-    return both.groupby("part").map_groups(ranged, batch_format="pandas")
+    return keyed_exchange(_orders_and_ships(sf_dir), "key", ranged)
 
 
 def range_join_ship_sql(days: int = RANGE_DAYS) -> str:
@@ -730,30 +654,20 @@ Q_RANGE_JOIN_SQL = range_join_ship_sql()
 def q_event_transitions(sf_dir: str) -> "ray.data.Dataset":
     """Markov transition counts over each user's ordered event stream —
     LEAD() per user then a (src, dst) count, the funnel/clickstream
-    matrix every product-analytics pipeline computes. One coarse
-    shuffle on ``user_id % N_PARTS`` co-locates each user's events;
+    matrix every product-analytics pipeline computes. One keyed
+    exchange on ``user_id`` co-locates each user's events;
     inside the partition the per-user LEAD is one vectorized shift over
     the (user_id, ts, event_id)-sorted frame (NO per-user loop), and a
     pandas crosstab folds the partition's pairs so only
     |event_types|² × partitions slim rows reach the final groupby.
     Columns: src, dst, n.
     """
-    import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
     ds = read_pq(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"],
     )
-
-    def part(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "part": pc.cast(pc.bit_wise_and(t["user_id"], N_PARTS - 1), pa.int32()),
-            "user_id": t["user_id"],
-            "ts": t["ts"],
-            "event_id": t["event_id"],
-            "event_type": t["event_type"],
-        })
 
     def transitions(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -774,9 +688,7 @@ def q_event_transitions(sf_dir: str) -> "ray.data.Dataset":
         })
 
     return (
-        ds.map_batches(part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(transitions, batch_format="pandas")
+        keyed_exchange(ds, "user_id", transitions)
         .groupby(["src", "dst"])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -808,16 +720,12 @@ def q_customer_ltv(sf_dir: str) -> "ray.data.Dataset":
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    from .dedup import _coalesce_for_join, _join_parts_for
-
     cust = read_pq(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     )
     orders = read_pq(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
-
-    n_parts = 16
 
     def partial(t: pa.Table) -> pa.Table:
         cents = pc.cast(
@@ -829,10 +737,7 @@ def q_customer_ltv(sf_dir: str) -> "ray.data.Dataset":
                        .cast(pa.int64()), "cents": cents})
              .group_by(["o_custkey"], use_threads=False)
              .aggregate([("cents", "sum"), ([], "count_all")]))
-        part = pc.cast(pc.bit_wise_and(g["o_custkey"].combine_chunks(),
-                                       n_parts - 1), pa.int32())
         return pa.table({
-            "part": part,
             "o_custkey": g["o_custkey"],
             "n_orders": g["count_all"].cast(pa.int64()),
             "cents": g["cents_sum"].cast(pa.int64()),
@@ -852,17 +757,14 @@ def q_customer_ltv(sf_dir: str) -> "ray.data.Dataset":
             "cents": t["cents_sum"].cast(pa.int64()),
         })
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(fold, batch_format="pandas")
-    )
+    agg = keyed_exchange(orders.map_batches(partial, batch_format="pyarrow"),
+                         "o_custkey", fold, parts=16)
     # right side passed through a groupby: guard the empty-first-block
-    # schema-broadcast landmine (see dedup._coalesce_for_join)
-    agg, n_agg = _coalesce_for_join(agg)
+    # schema-broadcast landmine (see exchange.coalesce_for_join)
+    agg, n_agg = coalesce_for_join(agg)
     joined = cust.join(
         agg, join_type="left_outer",
-        num_partitions=_join_parts_for(n_agg),
+        num_partitions=join_parts_for(n_agg),
         on=("c_custkey",), right_on=("o_custkey",),
     )
 

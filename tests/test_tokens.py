@@ -60,18 +60,6 @@ def test_grouped_arange():
     assert tk.grouped_arange(np.array([])).tolist() == []
 
 
-def test_hash_part_pa_colocates():
-    a = pa.array(["x", "y", "x", "", "y"])
-    p = tk.hash_part_pa(a, 7)
-    assert p[0] == p[2] and p[1] == p[4]
-    assert p.dtype == np.int32 and ((0 <= p) & (p < 7)).all()
-    # chunked input and empty input
-    ch = pa.chunked_array([["x"], ["y", "x"]])
-    p2 = tk.hash_part_pa(ch, 7)
-    assert p2[0] == p2[2] == p[0]
-    assert tk.hash_part_pa(pa.array([], type=pa.string()), 7).tolist() == []
-
-
 @given(st.lists(st.text(alphabet="abc/", min_size=0, max_size=12),
                 min_size=2, max_size=14, unique=True),
        st.integers(min_value=1, max_value=3))

@@ -55,8 +55,9 @@ def main() -> None:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
+    ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+             include_dashboard=False, ignore_reinit_error=True,
+             logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
