@@ -31,8 +31,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 from ..sources.pages import read_pq
-from .exchange import (PARTS, coalesce_for_join, join_parts_for, keyed_exchange,
-                       part_exchange, part_ids)
+from .exchange import PARTS, keyed_exchange, keyed_join, part_exchange, part_ids
 
 
 # ------------------------------------- duplicate n-gram span coverage
@@ -314,15 +313,15 @@ def _fine_region_nation_revenue(sf_dir: str) -> "ray.data.Dataset":
     """Shared finest-grain aggregate for the multi-grain revenue ops:
     the ``q_nation_revenue`` shape — per-custkey order totals joined
     against the sf-SCALED customer table via the size-dispatched
-    ``attach_dim`` (broadcast under the cutoff, distributed hash join
-    above it), with the fixed 25/5-row nation/region dims folded into
-    the dim transform. One row per (region, nation) composite key
-    ``rn`` with integer cents + count.
+    ``attach_dim`` (broadcast under the cutoff, co-partitioned
+    ``keyed_join`` above it), with the fixed 25/5-row nation/region
+    dims folded into the dim transform. One row per (region, nation)
+    composite key ``rn`` with integer cents + count.
     """
 
     import pyarrow.parquet as pq
 
-    from .relational import DimSpec, _orders_slim, _parquet_rows, attach_dim
+    from .relational import DimSpec, _orders_slim, attach_dim
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
                            columns=["n_nationkey", "n_name", "n_regionkey"])
@@ -348,8 +347,7 @@ def _fine_region_nation_revenue(sf_dir: str) -> "ray.data.Dataset":
     joined = attach_dim(
         _orders_slim(sf_dir), "o_custkey",
         DimSpec(f"{sf_dir}/customer.parquet",
-                ["c_custkey", "c_nationkey"], "c_custkey", cust_rn),
-        fact_rows=_parquet_rows(f"{sf_dir}/orders.parquet"))
+                ["c_custkey", "c_nationkey"], "c_custkey", cust_rn))
 
     def rn_partial(t: pa.Table) -> pa.Table:
         return (t.select(["rn", "price_c"])
@@ -1030,7 +1028,7 @@ def q_remove_dup_ngrams(sf_dir: str, n: int = 5, min_count: int = 2) -> "ray.dat
        row per doc: ``(doc_id, starts)`` with starts comma-joined into
        a string (Arrow's hash join can't carry list columns; the
        sentinel guarantees every doc emits a row, possibly empty);
-    3. ONE distributed hash join of that slim per-doc table against the
+    3. ONE ``keyed_join`` of that slim per-doc table against the
        documents payload on doc_id — the text moves through exactly one
        exchange — then a vectorized-per-batch rebuild masks the covered
        interval union and re-joins the kept tokens.
@@ -1097,18 +1095,8 @@ def q_remove_dup_ngrams(sf_dir: str, n: int = 5, min_count: int = 2) -> "ray.dat
 
     dup_starts = part_exchange(ds.map_batches(explode, batch_format="pyarrow"),
                                count_filter)
-    per_doc, n_docs = coalesce_for_join(
-        keyed_exchange(dup_starts, "doc_id", starts_list))
-    if n_docs == 0:  # empty corpus: the join operator can't take it
-        return ray.data.from_arrow(pa.table({
-            "doc_id": pa.array([], type=pa.int64()),
-            "n_tokens": pa.array([], type=pa.int64()),
-            "n_removed": pa.array([], type=pa.int64()),
-            "clean_text": pa.array([], type=pa.string()),
-        }))
-
-    joined = ds.join(per_doc, join_type="inner",
-                     num_partitions=join_parts_for(n_docs), on=("doc_id",))
+    per_doc = keyed_exchange(dup_starts, "doc_id", starts_list)
+    joined = keyed_join(ds, per_doc, "doc_id")
 
     def rebuild(t: pa.Table) -> pa.Table:
         from ..functions import tokens as tk

@@ -9,7 +9,7 @@ operators, built shuffle-consciously:
   ``(fp, doc_id)`` pairs — the text never crosses the exchange;
 * MinHash+LSH explodes each doc into ``n_bands`` tiny band rows,
   ``groupby(band_id, band_hash)`` co-locates only colliding docs, and
-  candidate verification is TWO hash ``Dataset.join``s of the slim
+  candidate verification is TWO ``exchange.keyed_join``s of the slim
   pair list against the distributed signature table (doc_a then
   doc_b) — no per-doc state ever lands on the driver, so the shape
   survives corpora where signatures alone are terabytes;
@@ -20,7 +20,7 @@ operators, built shuffle-consciously:
   gives Hamming≤3 candidates without an O(n²) scan); token hashing is
   batch-vectorized with a per-actor token cache (blake2b once per
   distinct token, bit accumulation via one fancy-index add);
-* pairwise char-Jaccard uses ``Dataset.join`` (hash-partitioned) and
+* pairwise char-Jaccard uses ``keyed_join`` (co-partitioned) and
   reproduces DuckDB's byte-set ``jaccard()`` exactly, so the oracle
   matches bit-for-bit.
 """
@@ -38,7 +38,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 from ..sources.pages import read_pq
-from .exchange import JOIN_PARTS, coalesce_for_join, join_parts_for
+from .exchange import keyed_join
 
 # ------------------------------------------------------------- exact dedup
 
@@ -127,7 +127,7 @@ N_SHUFFLE_PARTS = 512  # coarse shuffle key: buckets per map_groups call
 
 def _sig_table(t: pa.Table) -> pa.Table:
     """(doc_id, sig) rows: signature as a 512-byte binary blob — a
-    primitive column that rides hash joins untouched and decodes
+    primitive column that rides the joins untouched and decodes
     zero-copy with ``np.frombuffer``."""
     ids = t["doc_id"]
     sigs = [minhash_signature(x).tobytes() for x in t["text"].to_pylist()]
@@ -266,36 +266,24 @@ def _join_pairs_with(
     pairs: "ray.data.Dataset",
     side_table: "ray.data.Dataset",
     value_col: str,
-    num_partitions: int = JOIN_PARTS,
 ) -> "ray.data.Dataset":
     """Join (doc_a, doc_b, ...) pairs against a per-doc table twice —
     once on doc_a, once on doc_b — renaming ``value_col`` to
-    ``{value_col}_a`` / ``{value_col}_b``. Both joins are distributed
-    hash joins: the per-doc table never lands on the driver.
-    ``num_partitions`` should scale with the LARGER side (the per-doc
-    table) — each partition is one aggregator actor; over-partitioning
-    tiny inputs pays seconds of actor startup for nothing."""
+    ``{value_col}_a`` / ``{value_col}_b``. Both are co-partitioned
+    ``keyed_join``s: the per-doc table never lands on the driver."""
     def rename(key: str, suffix: str):
         def fn(t: pa.Table) -> pa.Table:
             return pa.table({key: t["doc_id"], f"{value_col}{suffix}": t[value_col]})
         return fn
 
     sa = side_table.map_batches(rename("doc_a", "_a"), batch_format="pyarrow")
-    j1 = pairs.join(sa, join_type="inner", num_partitions=num_partitions, on=("doc_a",))
     sb = side_table.map_batches(rename("doc_b", "_b"), batch_format="pyarrow")
-    return j1.join(sb, join_type="inner", num_partitions=num_partitions, on=("doc_b",))
-
-
-_EMPTY_PAIRS = pa.table({
-    "doc_a": pa.array([], type=pa.int64()),
-    "doc_b": pa.array([], type=pa.int64()),
-    "est_jaccard": pa.array([], type=pa.float64()),
-})
+    return keyed_join(keyed_join(pairs, sa, "doc_a"), sb, "doc_b")
 
 
 def q_minhash_pairs(sf_dir: str, min_est: float = 0.5) -> "ray.data.Dataset":
     """MinHash-LSH near-duplicate pairs (est. Jaccard >= ``min_est``).
-    Candidate verification is TWO distributed hash joins of the slim
+    Candidate verification is TWO ``keyed_join``s of the slim
     pair list against the signature Dataset (doc_a then doc_b) — the
     512 B/doc signature store never lands on the driver, so this shape
     holds when signatures alone are terabytes.
@@ -308,19 +296,7 @@ def q_minhash_pairs(sf_dir: str, min_est: float = 0.5) -> "ray.data.Dataset":
     sigs = minhash_sigs(sf_dir).materialize()
     cand = _candidate_pairs(sigs).drop_columns(["n_bands"])
     cand = cand.filter(expr="doc_a >= 0")  # drop overflow sentinels
-    # barrier between the groupby shuffles and the hash joins: one
-    # streaming plan containing both deadlocks on operator resources
-    # (observed: plan never finishes at 8 CPUs); the pair list is the
-    # SMALL near-dup candidate set, so the barrier is cheap — and the
-    # coalesce sidesteps Ray's empty-block schema-broadcast race (see
-    # coalesce_for_join).
-    cand, n_cand = coalesce_for_join(cand)
-    if n_cand == 0:
-        return ray.data.from_arrow(_EMPTY_PAIRS)
-    joined = _join_pairs_with(
-        cand, sigs, "sig",
-        num_partitions=join_parts_for(max(n_cand, sigs.count())),
-    )
+    joined = _join_pairs_with(cand, sigs, "sig")
     verified = joined.map_batches(_est_jaccard_from_sigs, batch_format="pyarrow")
     return verified.map_batches(
         lambda t: t.filter(pc.greater_equal(t["est_jaccard"], min_est)),
@@ -698,7 +674,7 @@ def duckdb_jaccard(a: str, b: str) -> float:
 
 def q_jaccard_adjacent(sf_dir: str) -> "ray.data.Dataset":
     """Char-set Jaccard between each doc and doc_id+1 via a
-    hash-partitioned ``Dataset.join`` (the both-sides-large join path).
+    co-partitioned ``keyed_join`` (the both-sides-large join path).
     Columns: doc_id, jacc."""
     left = read_pq(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     right = left.map_batches(
@@ -708,8 +684,7 @@ def q_jaccard_adjacent(sf_dir: str) -> "ray.data.Dataset":
         }),
         batch_format="pyarrow",
     )
-    joined = left.join(right, join_type="inner", num_partitions=8,
-                       on=("doc_id",), right_on=("next_id",))
+    joined = keyed_join(left, right, "doc_id", right_on="next_id")
 
     def jac(t: pa.Table) -> pa.Table:
         vals = [duckdb_jaccard(a, b)
@@ -815,26 +790,15 @@ def q_minhash_validate(sf_dir: str) -> "ray.data.Dataset":
     """For every MinHash-LSH pair, compute the EXACT word-shingle
     Jaccard alongside the signature estimate (the sketch-quality audit a
     production dedup pipeline ships with). Shingle sets reach the pairs
-    via the same two distributed hash joins as the signatures — no
+    via the same two ``keyed_join``s as the signatures — no
     driver-side store of any per-doc state. Columns: doc_a, doc_b,
     est_jaccard, exact_jaccard. (No SQL oracle: sketch internals.)"""
-    # barrier: pairs' plan already holds two joins; chaining two more
-    # joins onto it in one streaming plan deadlocks, and the join
-    # output is mostly empty blocks (see coalesce_for_join)
-    pairs, n_pairs = coalesce_for_join(q_minhash_pairs(sf_dir))
-    if n_pairs == 0:
-        return ray.data.from_arrow(
-            _EMPTY_PAIRS.append_column(
-                "exact_jaccard", pa.array([], type=pa.float64()))
-        )
+    pairs = q_minhash_pairs(sf_dir)
     ds = read_pq(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     # materialized for the same reason as the sig table in
     # q_minhash_pairs: two join sides, one text scan
     sh = ds.map_batches(_shingle_table, batch_format="pyarrow").materialize()
-    joined = _join_pairs_with(
-        pairs, sh, "sh",
-        num_partitions=join_parts_for(max(n_pairs, sh.count())),
-    )
+    joined = _join_pairs_with(pairs, sh, "sh")
 
     def exact(t: pa.Table) -> pa.Table:
         ex = []
@@ -872,8 +836,9 @@ def q_neardup_clusters(
 
     Shape: the pair graph is tiny relative to the corpus (only
     verified near-dup pairs), but the loop still runs DISTRIBUTED —
-    symmetric edge list, hash join of labels to edges, min-groupby per
-    node — so it holds when the pair list alone is billions of rows.
+    symmetric edge list, ``keyed_join`` of labels to edges,
+    min-groupby per node — so it holds when the pair list alone is
+    billions of rows.
     Labels only ever decrease, so ``Sum(label)`` is a monotone
     convergence witness: one scalar per iteration reaches the driver.
     Terminates at the fixpoint or after ``max_iters`` sweeps (component
@@ -901,9 +866,8 @@ def q_neardup_clusters(
             "nbr": pa.concat_arrays([b.cast(pa.int64()), a.cast(pa.int64())]),
         })
 
-    edges, n_edges = coalesce_for_join(
-        pairs.map_batches(symmetrize, batch_format="pyarrow"))
-    n_parts = join_parts_for(n_edges)
+    # every sweep joins against the edge list: run it once
+    edges = pairs.map_batches(symmetrize, batch_format="pyarrow").materialize()
 
     # initial labels: each node's min neighbour (sweep 0 folded in)
     labels = edges.groupby("node").aggregate(Min("nbr", alias_name="label"))
@@ -917,23 +881,17 @@ def q_neardup_clusters(
     prev_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
 
     for _ in range(max_iters):
-        lab_join, n_lab = coalesce_for_join(labels)
-        if n_lab == 0:  # pragma: no cover - defensive
-            break
         # neighbour messages: every edge forwards its node's label
-        msgs = edges.join(lab_join, join_type="inner",
-                          num_partitions=n_parts, on=("node",))
-        msgs = msgs.map_batches(
+        msgs = keyed_join(edges, labels, "node").map_batches(
             lambda t: pa.table({"node": t["nbr"], "label": t["label"]}),
             batch_format="pyarrow",
-        ).materialize()  # barrier: join phase before the groupby shuffle
-        # (one streaming plan holding both deadlocks at low CPU counts —
-        # see q_minhash_pairs; the message list is small)
+        )
+        # materialized once for the convergence sum and the next sweep
         labels = (
             labels.union(msgs)
             .groupby("node")
             .aggregate(Min("label", alias_name="label"))
-        ).materialize()  # barrier: shuffle phase before next join phase
+        ).materialize()
         cur_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
         if cur_sum == prev_sum:  # monotone fixpoint reached
             break
@@ -967,7 +925,7 @@ def q_cluster_keep_best(sf_dir: str, min_est: float = 0.5,
     member of each near-identical pair).
 
     Shape: cluster labels are a tiny slice of the corpus (only docs
-    with a verified near-dup), so ONE distributed hash join attaches
+    with a verified near-dup), so ONE size-dispatched join attaches
     ``n_chars`` (the payload never moves — the documents read is
     pruned to two int columns), then a groupby on ``rep_id`` ranks
     members vectorized per cluster partition. Docs outside any
@@ -979,9 +937,10 @@ def q_cluster_keep_best(sf_dir: str, min_est: float = 0.5,
     from .relational import BROADCAST_ROWS_CUTOFF
 
     clusters = q_neardup_clusters(sf_dir, min_est=min_est)
-    clusters, n_cl = coalesce_for_join(
-        clusters.map_batches(lambda t: t.select(["doc_id", "rep_id"]),
-                             batch_format="pyarrow"))
+    clusters = clusters.map_batches(
+        lambda t: t.select(["doc_id", "rep_id"]),
+        batch_format="pyarrow").materialize()
+    n_cl = clusters.count()
     if n_cl == 0:
         return ray.data.from_arrow(_EMPTY_KEEP)
 
@@ -992,7 +951,7 @@ def q_cluster_keep_best(sf_dir: str, min_est: float = 0.5,
     if n_cl <= cutoff:
         # size-dispatched (the attach_dim pattern): the cluster map is
         # the small side — broadcast it once and probe the pruned
-        # documents stream in place of the distributed hash join
+        # documents stream in place of the co-partitioned join
         import ray as _ray
 
         cl = clusters.to_pandas()
@@ -1014,9 +973,7 @@ def q_cluster_keep_best(sf_dir: str, min_est: float = 0.5,
 
         joined = docs.map_batches(probe, batch_format="pyarrow")
     else:  # distributed join path, pinned via cutoff=0 in tests
-        joined = clusters.join(docs, join_type="inner",
-                               num_partitions=join_parts_for(n_cl),
-                               on=("doc_id",))
+        joined = keyed_join(clusters, docs, "doc_id")
 
     def decide(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["rep_id", "n_chars", "doc_id"],

@@ -1,18 +1,21 @@
-"""The keyed exchange every shuffle-based operator shares.
+"""The keyed exchange every shuffle-based operator and join shares.
 
 Each operator that needs all rows of a key together (window functions,
-corpus-global counts, grouped top-k, as-of/range joins) does the same
-COARSE exchange: tag every row with ``part = part_ids(key) ∈ [0, P)``,
-range-sort on ``part``, and apply a fold once per part that resolves
-the exact keys vectorized. Per-key ``map_groups`` would pay one UDF
-call per (mostly tiny) key instead.
+corpus-global counts, grouped top-k, as-of/range joins, equi-joins)
+does the same COARSE exchange: tag every row with
+``part = part_ids(key) ∈ [0, P)``, range-sort on ``part``, and work on
+each part once, resolving the exact keys vectorized. Per-key
+``map_groups`` would pay one UDF call per (mostly tiny) key instead.
 
 Partitioning assumption: one partition holds ALL rows of each key it
 contains — guaranteed because the partition id is a pure function of
 the key, identical in every worker process.
 
 This module owns that decision: the partition function, the exchange
-call, and the join-side sizing helpers that guard ``Dataset.join``.
+call (:func:`keyed_exchange`, :func:`part_exchange`) and the join built
+on it (:func:`keyed_join`, a co-partitioned merge of both sides in one
+exchange — no ``Dataset.join``, so no aggregator actors and none of its
+empty-block or plan-deadlock workarounds).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from ..functions.tokens import _plain
@@ -29,12 +33,11 @@ from ..functions.tokens import _plain
 # fit a worker heap at corpus scale, few enough that per-partition
 # overhead stays negligible at sf0.01.
 PARTS = 64
-JOIN_PARTS = 16  # cap on hash-join partitions (one aggregator actor each)
 
 
 def part_ids(col, parts: int) -> np.ndarray:
     """int32 partition id in ``[0, parts)`` for every key of an Arrow
-    (chunked) array.
+    (chunked) array. Null keys all go to part 0.
 
     Integer keys use floor-mod (``np.mod``): non-negative for negative
     keys, and equal to ``key & (parts - 1)`` when ``parts`` is a power
@@ -46,11 +49,14 @@ def part_ids(col, parts: int) -> np.ndarray:
     if len(a) == 0:
         return np.empty(0, dtype=np.int32)
     if pa.types.is_integer(a.type):
-        return np.mod(a.to_numpy(zero_copy_only=False), parts).astype(np.int32)
+        # a null would become NaN in to_numpy; key 0 lands in part 0
+        return np.mod(a.fill_null(0).to_numpy(), parts).astype(np.int32)
     import polars as pl
 
-    h = pl.from_arrow(a).hash(seed=0).to_numpy()
-    return (h % parts).astype(np.int32)
+    ids = (pl.from_arrow(a).hash(seed=0).to_numpy() % parts).astype(np.int32)
+    if a.null_count:
+        ids[a.is_null().to_numpy(zero_copy_only=False)] = 0
+    return ids
 
 
 def keyed_exchange(ds: "ray.data.Dataset", key: str,
@@ -72,10 +78,16 @@ def _parts_in(block: pa.Table) -> np.ndarray:
     return np.unique(block["part"].to_numpy())
 
 
-def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
-    """:func:`keyed_exchange` for rows that already carry an int32
-    ``part`` column (streams that mix keys pick it per piece with
-    :func:`part_ids`).
+def _nonempty(ds: "ray.data.MaterializedDataset") -> list:
+    """Refs of the blocks of ``ds`` that hold rows."""
+    return [ref for b in ds.iter_internal_ref_bundles()
+            for ref, meta in b.blocks if meta.num_rows]
+
+
+def _by_part(ds: "ray.data.Dataset", ranges: int = 0) -> "ray.data.Dataset":
+    """Range-sort rows that carry an int32 ``part`` column so that every
+    part lands whole in one block and no block is empty. At most
+    ``ranges`` blocks come out (default: one per non-empty input block).
 
     The exchange is a range sort on ``part``, not a keyed hash
     repartition: it pays no aggregator-actor startup (~2.5 s of actors
@@ -89,17 +101,20 @@ def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
 
     Runs ``ds`` before returning (the sort is a barrier either way)."""
     ds = ds.materialize()
-    refs = [ref for b in ds.iter_internal_ref_bundles()
-            for ref, meta in b.blocks if meta.num_rows]
+    refs = _nonempty(ds)
     present = np.unique(np.concatenate(
         [np.empty(0, dtype=np.int32), *ray.get([_parts_in.remote(r) for r in refs])]))
-    n = min(len(present), len(refs))
+    n = min(len(present), ranges or len(refs))
     if n > 1:
         cuts = present[np.arange(1, n) * len(present) // n]
-        ranged = ds.sort("part", boundaries=cuts.tolist())
-    else:
-        ranged = ds.repartition(1)
+        return ds.sort("part", boundaries=cuts.tolist())
+    return ds.repartition(1)
 
+
+def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
+    """:func:`keyed_exchange` for rows that already carry an int32
+    ``part`` column (streams that mix keys pick it per piece with
+    :func:`part_ids`). Runs ``ds`` before returning."""
     def fold_parts(t: pa.Table):
         # blocks from the single-range path are not sorted by part
         t = t.sort_by("part")
@@ -109,28 +124,86 @@ def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
             yield fold(t.slice(lo, hi - lo).to_pandas())
 
     fold_parts.__name__ = fold.__name__  # names the operator in stats
-    return ranged.map_batches(fold_parts, batch_size=None, batch_format="pyarrow")
+    return _by_part(ds).map_batches(fold_parts, batch_size=None,
+                                    batch_format="pyarrow")
 
 
-def coalesce_for_join(ds: "ray.data.Dataset", rows_per_block: int = 65536):
-    """Materialize + repartition a small Dataset into NON-EMPTY blocks
-    before feeding it to ``Dataset.join``.
-
-    Why: Ray's hash-shuffle short-circuits zero-row input blocks
-    without broadcasting their schema (hash_shuffle.py:223-225 in Ray
-    2.49), so when the first block a join shuffles happens to be empty,
-    aggregator partitions that receive no non-empty shard finalize a
-    zero-column table and ``pa.Table.join`` fails with "No match for
-    key field". Datasets coming out of filters/groupbys are full of
-    typed empty blocks, making that a coin flip. Returns
-    ``(dataset, n_rows)``; callers must handle ``n_rows == 0`` (the
-    join operator cannot)."""
-    ds = ds.materialize()
-    n = ds.count()
-    if n == 0:
-        return ds, 0
-    return ds.repartition(max(1, min(JOIN_PARTS, n // rows_per_block + 1))), n
+@ray.remote
+def _join_side(block: pa.Table, side: int, key: str, own: pa.Schema,
+               names: list, joint: pa.Schema) -> pa.Table:
+    """One input block of :func:`keyed_join` as rows of the ``joint``
+    schema: its own columns under their positional ``names``, typed
+    nulls for the other side's, its part id and side flag."""
+    t = block.select(own.names).cast(own)
+    cols = dict(zip(names, t.columns))
+    cols["part"] = pa.array(part_ids(t[key], PARTS), type=pa.int32())
+    cols["side"] = pa.array(np.full(t.num_rows, side, dtype=np.int8))
+    return pa.table([cols[f.name] if f.name in cols
+                     else pa.nulls(t.num_rows, f.type) for f in joint], schema=joint)
 
 
-def join_parts_for(n_rows: int, rows_per_part: int = 65536) -> int:
-    return max(1, min(JOIN_PARTS, n_rows // rows_per_part + 1))
+def keyed_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
+               right_on: str | None = None,
+               how: str = "inner") -> "ray.data.Dataset":
+    """Equi-join ``left`` and ``right`` on ``left.on == right.right_on``
+    as a co-partitioned merge: both sides' rows are tagged with
+    ``part_ids(key, PARTS)`` and a side flag, ONE range exchange over
+    their union brings each part's rows of both sides into one block,
+    and ``pa.Table.join`` merges them there.
+
+    ``how`` is ``"inner"`` or ``"left outer"``. Output columns: the
+    left columns, then the right side's non-key columns (the right key
+    is dropped). Duplicate keys on either side multiply as in SQL; null
+    keys never match (``left outer`` keeps those left rows, with null
+    right-side columns). An empty input gives a typed-empty output with
+    the schema of a non-empty one — if the empty input is typed: Ray's
+    map operators turn all-empty input into untyped empty blocks, and
+    then the output is untyped too (``left outer`` raises when the
+    right side is untyped, since its columns are unknown). Non-key
+    column names must not repeat across the sides; Arrow's hash join
+    carries no list columns.
+
+    Runs the join before returning. Its output blocks are all non-empty
+    (one typed-empty block when the output is empty)."""
+    if how not in ("inner", "left outer"):
+        raise ValueError(
+            f"keyed_join: how must be 'inner' or 'left outer', not {how!r}")
+    right_on = right_on or on
+    sides = [left.materialize(), right.materialize()]
+    own = [s.base_schema if (s := d.schema()) else None for d in sides]
+    blocks = [_nonempty(d) for d in sides]
+    no_rows = not blocks[0] or (how == "inner" and not blocks[1])
+    if None in own:  # an empty side that Ray left untyped
+        if not no_rows:
+            raise ValueError("keyed_join: the right side of a left outer join "
+                             "is empty and untyped, so its columns are unknown")
+        return sides[own.index(None)]
+    out = own[0].empty_table().join(own[1].empty_table(), on, right_on, how)
+    if no_rows:
+        return ray.data.from_arrow(out)
+
+    names = [[f"{c}{i}" for i in range(len(sch))] for c, sch in zip("lr", own)]
+    joint = pa.schema([("part", pa.int32()), ("side", pa.int8())]
+                      + [(n, f.type) for ns, sch in zip(names, own)
+                         for n, f in zip(ns, sch)])
+    # plain tasks over the non-empty blocks only: a map operator turns
+    # an empty block into a schema-less one
+    tagged = [_join_side.remote(ref, side, key, own[side], names[side], joint)
+              for side, key in enumerate((on, right_on)) for ref in blocks[side]]
+
+    def merge(t: pa.Table) -> pa.Table:
+        is_left = pc.equal(t["side"], 0)
+        lt = t.filter(is_left).select(names[0]).rename_columns(own[0].names)
+        rt = t.filter(pc.invert(is_left)).select(names[1]).rename_columns(own[1].names)
+        return lt.join(rt, on, right_on, how, use_threads=False).cast(out.schema)
+
+    # as many ranges as the larger side has blocks, not as both have:
+    # a join output fed back into a join keeps its block count
+    ranged = _by_part(ray.data.from_arrow_refs(tagged), max(map(len, blocks)))
+    joined = ranged.map_batches(
+        merge, batch_size=None, batch_format="pyarrow").materialize()
+    # a part whose rows found no match merges to an empty block, which
+    # the next map operator would re-emit schema-less: drop those (a
+    # map task that yields nothing emits a schema-less block as well)
+    refs = _nonempty(joined)
+    return ray.data.from_arrow_refs(refs) if refs else ray.data.from_arrow(out)

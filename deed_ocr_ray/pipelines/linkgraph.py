@@ -17,14 +17,10 @@ Shuffle-conscious shapes (these hold at 10^12 documents / 10^8 hosts):
   the global ``groupby(src_host, dst_host)`` — the exchange carries
   distinct host-pairs per block, not one row per anchor tag.
 * **pagerank** iterates over HOST-cardinality tables only (ranks and
-  edges, never documents), join-FREE: ranks and edges share an
-  ``exchange.part_ids(src_host)`` partition column, one ``groupby(part)``
-  shuffle co-locates them per iteration, a vectorized pandas merge
-  computes contributions, and a ``groupby(dst)`` Sum folds them;
-  dangling mass comes from one scalar aggregate of the host-sized
-  contribution table (``Dataset.join`` costs ~0.9 s/call of
-  aggregator-actor startup — NOTES.md — which dominated an iterative
-  operator).
+  edges, never documents): per iteration one ``exchange.keyed_join``
+  of ranks to edges on ``src_host`` computes contributions and one
+  ``keyed_exchange`` on ``dst_host`` sums them; dangling mass comes
+  from one scalar aggregate of the host-sized sum table.
 """
 
 from __future__ import annotations
@@ -33,6 +29,7 @@ import html as _htmllib
 import re
 from typing import List, Optional
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -41,7 +38,7 @@ from ray.data.aggregate import Sum
 
 from ..functions.sniff import JUNK_REPLACEMENT_RATIO, decode_html
 from .corpus import pages_corpus_for
-from .exchange import coalesce_for_join, part_ids
+from .exchange import keyed_exchange, keyed_join
 
 # whole <a> tag (attrs + body; nested <a> is invalid HTML, body is
 # non-greedy to the nearest close tag), then href / rel parsed from the
@@ -363,34 +360,21 @@ def pagerank_dataset(
     """Distributed power-iteration PageRank over a weighted edge list
     ``(src_host, dst_host, n_links)``.
 
-    Every table touched is host-cardinality, and the rank⋈edge
-    co-location is a JOIN-FREE co-partitioned merge: edges and ranks
-    share a ``hash(src_host) % NP`` partition column, one
-    ``groupby(part)`` shuffle brings each partition's rank rows and
-    edge rows together, and a vectorized pandas merge inside
-    ``map_groups`` computes contribution = rank × p. (``Dataset.join``
-    was measured at ~0.9 s/call of aggregator-actor startup on this
-    host — 5 iterations of it dominated the operator; the groupby path
-    is ~10× cheaper and the same hash-exchange shape at 10^8 hosts.)
-    Per iteration, ONE plan: union(edges_p, ranks) → groupby(part) →
-    merge → union(zeros) → groupby(dst) Sum → S(dst); then a scalar
-    dangling-mass aggregate (Σ_dst S = Σ_{src with out-edges} rank, so
-    dangling = 1 − ΣS) and rank'(h) = (1−d)/N + d·(S(h) + dangling/N)
-    applied lazily (fused into the next iteration's plan). Hosts with
-    no in-links re-enter via the zero-row union (avoids an outer
-    join). Fixed iteration count → deterministic output; audited
-    against a dense numpy reference in tests/test_linkgraph.py.
+    Every table touched is host-cardinality, and every keyed step is
+    one ``exchange`` call. Out-link probabilities p come from one
+    ``keyed_exchange`` on ``src_host``. Each iteration keeps the ranks
+    as S(h), with rank(h) = a·S(h) + b: one ``keyed_join`` of S to the
+    edges on ``src_host`` gives the contributions p·rank(src), and one
+    ``keyed_exchange`` on ``dst_host`` sums them (Arrow ``group_by``)
+    into the next S. Hosts with no in-links have no S row; the
+    ``left outer`` joins read their S as 0. One scalar ΣS gives the
+    dangling mass (Σ_dst S = Σ_{src with out-edges} rank, so dangling =
+    1 − ΣS), and rank'(h) = (1−d)/N + d·(S(h) + dangling/N) sets the
+    next a, b.
+    Fixed iteration count → deterministic output; audited against a
+    dense numpy reference in tests/test_linkgraph.py.
     Columns: host, rank."""
-    edges, n_edges = coalesce_for_join(edges)
-    if n_edges == 0:
-        return ray.data.from_arrow(pa.table({
-            "host": pa.array([], type=pa.string()),
-            "rank": pa.array([], type=pa.float64()),
-        }))
-    n_parts = max(1, min(64, n_edges // 65536 + 1))
-
-    def _part_of(hosts) -> pa.Array:
-        return pa.array(part_ids(hosts, n_parts), type=pa.int32())
+    edges = edges.materialize()  # read by the hosts and the p exchange
 
     def _hosts_both(t: pa.Table) -> pa.Table:
         both = pa.concat_arrays([
@@ -399,107 +383,60 @@ def pagerank_dataset(
         ])
         return pa.table({"host": pc.unique(both)})
 
-    from ray.data.aggregate import Count
+    def _distinct(g: pd.DataFrame) -> pa.Table:
+        return pa.table({"host": pa.array(g["host"].unique(), type=pa.string())})
 
-    hosts = (
-        edges.map_batches(_hosts_both, batch_format="pyarrow")
-        .groupby("host")
-        .aggregate(Count(alias_name="_c"))  # distinct hosts
-        .drop_columns(["_c"])
-        .materialize()
-    )
+    hosts = keyed_exchange(
+        edges.map_batches(_hosts_both, batch_format="pyarrow"), "host",
+        _distinct).materialize()
     n_hosts = hosts.count()
-
-    # out-link probabilities, per-src, inside one partition shuffle
-    # (vectorized transform per partition — no join, no per-key UDF)
-    def _edge_part(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "part": _part_of(t["src_host"]),
-            "src_host": t["src_host"],
-            "dst_host": t["dst_host"],
-            "n_links": t["n_links"],
-        })
+    if n_hosts == 0:  # no graph: no rank distribution to normalize
+        return ray.data.from_arrow(pa.table({
+            "host": pa.array([], type=pa.string()),
+            "rank": pa.array([], type=pa.float64()),
+        }))
 
     def _prob(g: pd.DataFrame) -> pa.Table:
         w = g.groupby("src_host", sort=False)["n_links"].transform("sum")
-        n = len(g)
         return pa.table({
-            "part": pa.array(g["part"].to_numpy(), type=pa.int32()),
             "src_host": pa.array(g["src_host"].tolist(), type=pa.string()),
             "dst_host": pa.array(g["dst_host"].tolist(), type=pa.string()),
             "p": pa.array((g["n_links"] / w).to_numpy(), type=pa.float64()),
-            "rank": pa.nulls(n, type=pa.float64()),
         })
 
-    edges_p = (
-        edges.map_batches(_edge_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_prob, batch_format="pandas")
-        .materialize()
-    )
+    edges_p = keyed_exchange(edges, "src_host", _prob).materialize()
 
-    init_rank = 1.0 / n_hosts
+    # rank(h) = a·S(h) + b; the first iteration starts from S = 1/N
+    sums = hosts.map_batches(
+        lambda t: pa.table({"host": t["host"],
+                            "s": pa.array(np.full(t.num_rows, 1.0 / n_hosts))}),
+        batch_format="pyarrow").materialize()
+    a, b = 1.0, 0.0
 
-    def _rank_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({
-            "part": _part_of(t["host"]),
-            "src_host": t["host"],
-            "dst_host": pa.nulls(n, type=pa.string()),
-            "p": pa.nulls(n, type=pa.float64()),
-            "rank": pa.array([init_rank] * n, type=pa.float64()),
-        })
+    def _rank(t: pa.Table, a: float, b: float) -> pa.Array:
+        # hosts without in-links have no S row: S = 0
+        return pc.add(pc.multiply(pc.fill_null(t["s"], 0.0), a), b)
 
-    ranks = hosts.map_batches(_rank_rows, batch_format="pyarrow")
-
-    def _zero_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "dst_host": t["host"],
-            "s": pa.array([0.0] * t.num_rows, type=pa.float64()),
-        })
-
-    zeros = hosts.map_batches(_zero_rows, batch_format="pyarrow").materialize()
-
-    def _merge_contrib(g: pd.DataFrame) -> pa.Table:
-        is_rank = g["p"].isna()
-        rk = g.loc[is_rank, ["src_host", "rank"]]
-        eg = g.loc[~is_rank, ["src_host", "dst_host", "p"]]
-        m = eg.merge(rk, on="src_host", how="inner")
-        return pa.table({
-            "dst_host": pa.array(m["dst_host"].tolist(), type=pa.string()),
-            "s": pa.array((m["p"] * m["rank"]).to_numpy(), type=pa.float64()),
-        })
+    def _sum_s(g: pd.DataFrame) -> pa.Table:
+        t = (pa.Table.from_pandas(g[["host", "s"]], preserve_index=False)
+             .group_by("host", use_threads=False).aggregate([("s", "sum")]))
+        return pa.table({"host": t["host"], "s": t["s_sum"]})
 
     for _ in range(n_iter):
-        grouped = (
-            edges_p.union(ranks)
-            .groupby("part")
-            .map_groups(_merge_contrib, batch_format="pandas")
-            .union(zeros)
-            .groupby("dst_host")
-            .aggregate(Sum("s", alias_name="s"))
-            .materialize()
-        )
-        total_s = grouped.sum("s") or 0.0
-        dangling = max(0.0, 1.0 - total_s)
-        base = (1.0 - damping) / n_hosts + damping * dangling / n_hosts
+        def _contrib(t: pa.Table, a: float = a, b: float = b) -> pa.Table:
+            return pa.table({"host": t["dst_host"],
+                             "s": pc.multiply(t["p"], _rank(t, a, b))})
 
-        def _next(t: pa.Table, base: float = base) -> pa.Table:
-            n = t.num_rows
-            return pa.table({
-                "part": _part_of(t["dst_host"]),
-                "src_host": t["dst_host"],
-                "dst_host": pa.nulls(n, type=pa.string()),
-                "p": pa.nulls(n, type=pa.float64()),
-                "rank": pc.add(pc.multiply(t["s"], damping), base),
-            })
+        contrib = keyed_join(edges_p, sums, "src_host", right_on="host",
+                             how="left outer")
+        sums = keyed_exchange(contrib.map_batches(_contrib, batch_format="pyarrow"),
+                              "host", _sum_s).materialize()
+        dangling = max(0.0, 1.0 - (sums.sum("s") or 0.0))
+        a, b = damping, (1.0 - damping) / n_hosts + damping * dangling / n_hosts
 
-        ranks = grouped.map_batches(_next, batch_format="pyarrow")
-
-    def _final(t: pa.Table) -> pa.Table:
-        return pa.table({"host": t["src_host"], "rank": t["rank"]})
-
-    return ranks.map_batches(_final, batch_format="pyarrow")
+    return keyed_join(hosts, sums, "host", how="left outer").map_batches(
+        lambda t, a=a, b=b: pa.table({"host": t["host"], "rank": _rank(t, a, b)}),
+        batch_format="pyarrow")
 
 
 def q_pagerank(sf_dir: str, damping: float = PR_DAMPING,

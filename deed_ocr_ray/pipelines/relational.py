@@ -11,10 +11,10 @@ top-k D5, lookup joins J1/J3) as idiomatic Ray Data:
   region=5 rows at every sf) are read once on the driver and folded
   into batch tasks as a dict — no all-to-all shuffle for a constant
   side;
-* **hash-partitioned join**: ``Dataset.join`` wherever a side scales
-  with sf (customer, part, supplier, lineitem, orders) — a 100-TB
-  run's customer table fits in no driver dict, so pre-aggregated slim
-  rows are co-partitioned with the dim instead;
+* **co-partitioned join**: ``exchange.keyed_join`` wherever a side
+  scales with sf (customer, part, supplier, lineitem, orders) — a
+  100-TB run's customer table fits in no driver dict, so slim fact
+  rows and the dim cross one keyed exchange together instead;
 * **decimal-exact money math**: prices are converted per row to integer
   cents with half-away-from-zero rounding, summed as int64 (order-
   independent, bit-deterministic), and divided back at the end — so
@@ -33,7 +33,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 from ..sources.pages import read_pq
-from .exchange import coalesce_for_join, join_parts_for, keyed_exchange
+from .exchange import keyed_exchange, keyed_join
 
 
 def _cents(arr: pa.ChunkedArray) -> pa.ChunkedArray:
@@ -184,7 +184,8 @@ LIMIT 10
 # is read once driver-side and shipped as a ray.put dict — a few
 # hundred MB at most, the classic broadcast-hash-join side. Beyond it,
 # the dim cannot be assumed to fit a worker heap and the engine uses a
-# distributed hash join instead (the Spark-AQE-style plan choice).
+# distributed co-partitioned join instead (the Spark-AQE-style plan
+# choice).
 # TPC-H at sf1000 has ~150M customers — the cutoff keeps the broadcast
 # dict well under a worker's memory budget.
 BROADCAST_ROWS_CUTOFF = 2_000_000
@@ -209,8 +210,6 @@ def attach_dim(
     fact_key: str,
     spec: DimSpec,
     cutoff: int = BROADCAST_ROWS_CUTOFF,
-    fact_rows: int = 0,
-    coalesce: bool = False,
 ) -> "ray.data.Dataset":
     """Inner-join ``fact`` against a dimension table, choosing the plan
     by dimension size (parquet footer row count):
@@ -218,10 +217,10 @@ def attach_dim(
     * ``n_dim <= cutoff``: broadcast hash join — dict ``ray.put`` once,
       deserialized once per worker (``broadcast.cached_get``), rows
       with no match dropped (inner semantics). No shuffle.
-    * ``n_dim > cutoff``: distributed ``Dataset.join``, partitions
-      sized by the larger side. ``coalesce=True`` guards fact inputs
-      that passed through a groupby/filter (empty-first-block join
-      landmine, see exchange.coalesce_for_join).
+    * ``n_dim > cutoff``: :func:`exchange.keyed_join` — fact and dim
+      rows cross one keyed exchange and merge per partition.
+
+    Both plans emit the fact columns + the dim's non-key columns.
     """
     from .broadcast import cached_get
 
@@ -256,14 +255,7 @@ def attach_dim(
 
     dim = read_pq(spec.path, columns=spec.columns).map_batches(
         spec.transform, batch_format="pyarrow")
-    if coalesce:
-        fact, n_fact = coalesce_for_join(fact)
-        fact_rows = max(fact_rows, n_fact)
-    # NOTE: Ray's join drops the right key column, so both plans emit
-    # fact columns + the dim's out columns — identical schemas
-    return fact.join(dim, join_type="inner",
-                     num_partitions=join_parts_for(max(n_dim, fact_rows)),
-                     on=(fact_key,), right_on=(spec.key,))
+    return keyed_join(fact, dim, fact_key, right_on=spec.key)
 
 
 def _orders_slim(sf_dir: str) -> "ray.data.Dataset":
@@ -285,15 +277,15 @@ def q_mktsegment_orders(
 ) -> "ray.data.Dataset":
     """Orders ⋈ customer grouped by market segment. Customer SCALES
     WITH SF, so the plan is size-dispatched (``attach_dim``): broadcast
-    hash join while the dim fits a worker heap, distributed
-    ``Dataset.join`` of the per-custkey order totals beyond the
-    cutoff. Columns: c_mktsegment, n_orders, total_price.
+    hash join while the dim fits a worker heap, a co-partitioned
+    ``keyed_join`` of the slim orders beyond the cutoff.
+    Columns: c_mktsegment, n_orders, total_price.
     """
     joined = attach_dim(
         _orders_slim(sf_dir), "o_custkey",
         DimSpec(f"{sf_dir}/customer.parquet",
                 ["c_custkey", "c_mktsegment"], "c_custkey"),
-        cutoff=cutoff, fact_rows=_parquet_rows(f"{sf_dir}/orders.parquet"))
+        cutoff=cutoff)
 
     def seg_partial(t: pa.Table) -> pa.Table:
         return (t.select(["c_mktsegment", "price_c"])
@@ -356,7 +348,7 @@ def q_nation_revenue(
         _orders_slim(sf_dir), "o_custkey",
         DimSpec(f"{sf_dir}/customer.parquet",
                 ["c_custkey", "c_nationkey"], "c_custkey", cust_nation),
-        cutoff=cutoff, fact_rows=_parquet_rows(f"{sf_dir}/orders.parquet"))
+        cutoff=cutoff)
 
     def nation_partial(t: pa.Table) -> pa.Table:
         return (t.select(["n_name", "price_c"])
@@ -454,8 +446,9 @@ FROM documents GROUP BY 1
 
 
 def _parquet_rows(path: str) -> int:
-    """Row count from the parquet FOOTER only — join-partition sizing
-    without reading any data pages (not a driver materialization)."""
+    """Row count from the parquet FOOTER only — the broadcast-vs-join
+    size dispatch without reading any data pages (not a driver
+    materialization)."""
     import pyarrow.parquet as pq
 
     return pq.ParquetFile(path).metadata.num_rows
@@ -515,12 +508,11 @@ def q_region_part_revenue(
         return pa.table({"s_suppkey": t["s_suppkey"],
                          "r_name": pa.array(rn, type=pa.string())})
 
-    n_li = _parquet_rows(f"{sf_dir}/lineitem.parquet")
     j1 = attach_dim(
         _lineitem_slim(sf_dir), "l_partkey",
         DimSpec(f"{sf_dir}/part.parquet", ["p_partkey", "p_type"],
                 "p_partkey"),
-        cutoff=cutoff, fact_rows=n_li)
+        cutoff=cutoff)
 
     def type_supp_partial(t: pa.Table) -> pa.Table:
         # combine before the supplier side: |p_type| x |suppliers in
@@ -529,15 +521,12 @@ def q_region_part_revenue(
                 .group_by(["p_type", "l_suppkey"])
                 .aggregate([("rev", "sum"), ("rev", "count")]))
 
-    # coalesce=True only matters on the join path, where it is the
-    # barrier between the two exchanges (single-plan multi-shuffle
-    # deadlock landmine) — bounded: <= |p_type| x |supplier| slim rows
     j2 = attach_dim(
         j1.map_batches(type_supp_partial, batch_format="pyarrow"),
         "l_suppkey",
         DimSpec(f"{sf_dir}/supplier.parquet",
                 ["s_suppkey", "s_nationkey"], "s_suppkey", supp_region),
-        cutoff=cutoff, coalesce=True)
+        cutoff=cutoff)
 
     def region_partial(t: pa.Table) -> pa.Table:
         return (t.select(["r_name", "p_type", "rev_sum", "rev_count"])
@@ -585,8 +574,9 @@ def q3_shipping_priority(
     sf-scaled, both filtered at the read) the rest of the relational
     family doesn't exercise. The customer semi-join side rides
     ``attach_dim`` (broadcast under the cutoff, distributed beyond);
-    the orders⋈lineitem join is always a distributed hash join — at
-    100 TB neither side fits anywhere. Revenue stays integer cents.
+    the orders⋈lineitem join is always a co-partitioned
+    ``keyed_join`` — at 100 TB neither side fits anywhere. Revenue
+    stays integer cents.
     Columns: l_orderkey, o_orderdate, o_orderpriority, revenue_cents.
     Deterministic order: revenue desc, o_orderdate asc, l_orderkey asc.
     """
@@ -617,7 +607,6 @@ def q3_shipping_priority(
         DimSpec(f"{sf_dir}/customer.parquet",
                 ["c_custkey", "c_mktsegment"], "c_custkey", building_only),
         cutoff=cutoff,
-        fact_rows=_parquet_rows(f"{sf_dir}/orders.parquet"),
     ).drop_columns(["o_custkey", "seg"])
 
     li = read_pq(
@@ -634,20 +623,8 @@ def q3_shipping_priority(
             100.0), 0.5)), pa.int64())
         return pa.table({"l_orderkey": t["l_orderkey"], "rev": rev})
 
-    # the fact-fact exchange: both sides passed through filters, so
-    # both get the empty-first-block coalesce guard
-    o_seg, n_o = coalesce_for_join(o_seg)
-    lis, n_l = coalesce_for_join(li.map_batches(slim_li, batch_format="pyarrow"))
-    if n_o == 0 or n_l == 0:
-        return ray.data.from_arrow(pa.table({
-            "l_orderkey": pa.array([], type=pa.int64()),
-            "o_orderdate": pa.array([], type=pa.timestamp("us")),
-            "o_orderpriority": pa.array([], type=pa.string()),
-            "revenue_cents": pa.array([], type=pa.int64()),
-        }))
-    joined = lis.join(o_seg, join_type="inner",
-                      num_partitions=join_parts_for(max(n_o, n_l)),
-                      on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = keyed_join(li.map_batches(slim_li, batch_format="pyarrow"),
+                        o_seg, "l_orderkey", right_on="o_orderkey")
 
     # final rollup is by the INT orderkey only (date/priority are
     # functionally dependent — carried as group min), summed with
@@ -781,12 +758,11 @@ def q_top_parts_per_nation(
         return pa.table({"s_suppkey": t["s_suppkey"],
                          "s_nationkey": t["s_nationkey"].cast(pa.int64())})
 
-    n_li = _parquet_rows(f"{sf_dir}/lineitem.parquet")
     joined = attach_dim(
         _lineitem_slim(sf_dir), "l_suppkey",
         DimSpec(f"{sf_dir}/supplier.parquet",
                 ["s_suppkey", "s_nationkey"], "s_suppkey", supp_nation),
-        cutoff=cutoff, fact_rows=n_li)
+        cutoff=cutoff)
 
     # Ray's sort-based Aggregate on a (string, int) key measured ~1.3 s
     # PER 9k-row BLOCK here; pack (nationkey, partkey) into ONE int64

@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 from ..sources.pages import read_pq
-from .exchange import coalesce_for_join, join_parts_for, keyed_exchange
+from .exchange import keyed_exchange, keyed_join
 
 
 def _counts_upto(lk: np.ndarray, lp: np.ndarray, rk: np.ndarray,
@@ -203,7 +203,7 @@ BIG_ORDER = 400000.0
 
 def q_customers_no_orders(sf_dir: str) -> "ray.data.Dataset":
     """Anti-join: customers with no order above BIG_ORDER — LEFT OUTER
-    shuffle join against the FILTERED + per-block-distinct custkey set
+    ``keyed_join`` against the FILTERED + per-block-distinct custkey set
     (shrink-before-shuffle), keep null matches. Columns: c_custkey,
     c_name. (Every customer has at least one order in the test data, so
     the unfiltered variant would be vacuously empty.)"""
@@ -221,12 +221,11 @@ def q_customers_no_orders(sf_dir: str) -> "ray.data.Dataset":
         u = pc.unique(big["o_custkey"])
         return pa.table({"o_custkey": u, "has": pa.array([1] * len(u), type=pa.int8())})
 
-    # per-block distinct, then the join's hash shuffle dedups the rest
+    # per-block distinct shrinks the exchange; keys repeated across
+    # blocks only repeat matched customers, which only_null drops
     okeys = okeys.map_batches(distinct, batch_format="pyarrow")
-    joined = cust.join(
-        okeys, join_type="left_outer", num_partitions=8,
-        on=("c_custkey",), right_on=("o_custkey",),
-    )
+    joined = keyed_join(cust, okeys, "c_custkey", right_on="o_custkey",
+                        how="left outer")
 
     def only_null(t: pa.Table) -> pa.Table:
         mask = pc.is_null(t["has"])
@@ -759,14 +758,8 @@ def q_customer_ltv(sf_dir: str) -> "ray.data.Dataset":
 
     agg = keyed_exchange(orders.map_batches(partial, batch_format="pyarrow"),
                          "o_custkey", fold, parts=16)
-    # right side passed through a groupby: guard the empty-first-block
-    # schema-broadcast landmine (see exchange.coalesce_for_join)
-    agg, n_agg = coalesce_for_join(agg)
-    joined = cust.join(
-        agg, join_type="left_outer",
-        num_partitions=join_parts_for(n_agg),
-        on=("c_custkey",), right_on=("o_custkey",),
-    )
+    joined = keyed_join(cust, agg, "c_custkey", right_on="o_custkey",
+                        how="left outer")
 
     def zero_fill(t: pa.Table) -> pa.Table:
         return pa.table({

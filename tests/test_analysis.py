@@ -574,7 +574,7 @@ def test_attach_dim_inner_semantics_drop_misses(ray_session, tmp_path, cutoff):
     out = attach_dim(
         fact, "fk",
         DimSpec(str(tmp_path / "dim.parquet"), ["k", "name"], "k"),
-        cutoff=cutoff, fact_rows=5,
+        cutoff=cutoff,
     ).to_pandas().sort_values("fk").reset_index(drop=True)
     assert list(out["fk"]) == [1, 2, 3]          # 9 and 8 dropped
     assert list(out["name"]) == ["a", "b", "c"]

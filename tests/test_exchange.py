@@ -1,5 +1,5 @@
-"""Tests for the keyed exchange: its partition function and its range
-exchange."""
+"""Tests for the keyed exchange: its partition function, its range
+exchange and the co-partitioned join built on it."""
 
 import json
 import os
@@ -42,6 +42,12 @@ def test_part_ids_int_edge_cases(typ):
     assert got.tolist() == [k % 16 for k in keys]
     assert part_ids(pa.array([], type=typ), 16).tolist() == []
     assert part_ids(pa.chunked_array([], type=typ), 16).tolist() == []
+    # null keys land in part 0 (to_numpy would make them NaN -> INT_MIN)
+    last = 65 if typ == pa.uint64() else -3
+    with_null = pa.array([1, None, last, None], type=typ)
+    assert part_ids(with_null, 16).tolist() == [1, 0, last % 16, 0]
+    ch = pa.chunked_array([with_null[:2], with_null[2:]], type=typ)
+    assert part_ids(ch, 16).tolist() == [1, 0, last % 16, 0]
 
 
 def test_part_ids_string_colocates():
@@ -56,6 +62,9 @@ def test_part_ids_string_colocates():
     assert part_ids(pa.array([], type=pa.string()), 7).tolist() == []
     # large_string keys land where string keys do
     assert part_ids(a.cast(pa.large_string()), 7).tolist() == p.tolist()
+    # null keys land in part 0; the other keys keep their parts
+    pn = part_ids(pa.array(["x", None, "y", None]), 7)
+    assert pn.tolist() == [p[0], 0, p[1], 0]
 
 
 def test_part_ids_string_stable_across_processes():
@@ -101,3 +110,135 @@ def test_keyed_exchange_hot_key(ray_session, schema_warnings):
     df = out.to_pandas()
     assert sorted(zip(df["k"], df["n"])) == sorted(collections.Counter(keys.tolist()).items())
     assert schema_warnings == []
+
+
+# ------------------------------------------------------------ keyed_join
+
+def _blocks(t: pa.Table, n: int):
+    """``t`` as a Dataset of ``n`` blocks."""
+    import ray
+
+    cuts = np.linspace(0, t.num_rows, n + 1).astype(int)
+    return ray.data.from_arrow([t.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])])
+
+
+def _rows(ds_or_table):
+    """Order-insensitive rows of a table or a Dataset."""
+    import ray
+
+    t = ds_or_table
+    if not isinstance(t, pa.Table):
+        t = pa.concat_tables(ray.get(t.to_arrow_refs()))
+    return sorted(map(repr, t.to_pylist()))
+
+
+def _sides(keytype):
+    rng = np.random.default_rng(7)
+    lk = rng.integers(0, 60, 200).tolist()
+    for i in (3, 50, 120):
+        lk[i] = None  # null left keys: never match
+    rk = rng.integers(20, 80, 90).tolist()  # duplicate right keys
+    if keytype == "str":
+        lk = [None if k is None else f"k{k}" for k in lk]
+        rk = [f"k{k}" for k in rk]
+    left = pa.table({"k": lk, "x": np.arange(200, dtype=np.int64)})
+    right = pa.table({"rk": rk, "y": np.arange(90, dtype=np.float64),
+                      "z": [f"z{i}" for i in range(90)]})
+    return left, right
+
+
+@pytest.mark.parametrize("keytype", ["int", "str"])
+@pytest.mark.parametrize("how", ["inner", "left outer"])
+def test_keyed_join_matches_arrow_join(ray_session, how, keytype):
+    """Left columns, then the right non-key columns (right key dropped),
+    with duplicate right keys multiplying and null keys never matching
+    — the rows and schema of ``pa.Table.join`` on the same tables."""
+    from deed_ocr_ray.pipelines.exchange import keyed_join
+
+    left, right = _sides(keytype)
+    want = left.join(right, "k", "rk", how)
+    got = keyed_join(_blocks(left, 5), _blocks(right, 4), "k", right_on="rk", how=how)
+    assert got.schema().base_schema == want.schema
+    assert got.schema().names == ["k", "x", "y", "z"]
+    assert _rows(got) == _rows(want)
+    # parts whose rows found no match leave no empty block behind
+    assert min(m.num_rows for b in got.iter_internal_ref_bundles()
+               for _, m in b.blocks) > 0
+    if how == "left outer":  # null-key left rows kept, right side null
+        nulls = [r for r in got.take_all() if r["k"] is None]
+        assert len(nulls) == 3 and all(r["y"] is None for r in nulls)
+
+
+def test_keyed_join_same_key_name(ray_session):
+    from deed_ocr_ray.pipelines.exchange import keyed_join
+
+    left, right = _sides("int")
+    right = right.rename_columns(["k", "y", "z"])
+    want = left.join(right, "k", join_type="inner")
+    got = keyed_join(_blocks(left, 4), _blocks(right, 4), "k")
+    assert got.schema().names == ["k", "x", "y", "z"]
+    assert _rows(got) == _rows(want)
+
+
+@pytest.mark.parametrize("how", ["inner", "left outer"])
+@pytest.mark.parametrize("empty", ["left", "right", "both"])
+def test_keyed_join_empty_inputs_are_typed(ray_session, empty, how):
+    """An empty side gives the schema of the non-empty join: typed-empty
+    output (or, for ``left outer`` with an empty right side, every left
+    row with null right columns)."""
+    from deed_ocr_ray.pipelines.exchange import keyed_join
+
+    left, right = _sides("int")
+    if empty in ("left", "both"):
+        left = left.slice(0, 0)
+    if empty in ("right", "both"):
+        right = right.slice(0, 0)
+    want = left.join(right, "k", "rk", how)
+    got = keyed_join(_blocks(left, 3), _blocks(right, 3), "k", right_on="rk", how=how)
+    assert got.schema().base_schema == want.schema
+    assert got.count() == want.num_rows
+    if want.num_rows:
+        assert _rows(got) == _rows(want)
+
+
+def test_keyed_join_rejects_other_join_types(ray_session):
+    from deed_ocr_ray.pipelines.exchange import keyed_join
+
+    left, right = _sides("int")
+    with pytest.raises(ValueError):
+        keyed_join(_blocks(left, 2), _blocks(right, 2), "k", right_on="rk", how="full outer")
+
+
+def test_keyed_join_hot_key(ray_session, schema_warnings):
+    """One key holds 90% of the left rows. Every output block is
+    non-empty, a map over the output logs no schema warning, and the
+    rows equal the Arrow join."""
+    from deed_ocr_ray.pipelines.exchange import keyed_join
+
+    keys = np.r_[np.zeros(900, dtype=np.int64), np.arange(1, 101, dtype=np.int64)]
+    np.random.default_rng(0).shuffle(keys)
+    left = pa.table({"k": keys, "x": np.arange(1000, dtype=np.int64)})
+    right = pa.table({"k": np.arange(0, 101, dtype=np.int64),
+                      "y": np.arange(0, 202, 2, dtype=np.int64)})
+    out = keyed_join(_blocks(left, 8), _blocks(right, 4), "k").materialize()
+    rows = [m.num_rows for b in out.iter_internal_ref_bundles() for _, m in b.blocks]
+    assert min(rows) > 0
+    mapped = out.map_batches(lambda t: t.append_column("z", pc.add(t["x"], t["y"])),
+                             batch_format="pyarrow").materialize()
+    assert mapped.count() == 1000
+    assert _rows(out) == _rows(left.join(right, "k", join_type="inner"))
+    assert schema_warnings == []
+
+
+def test_keyed_join_untyped_empty_side(ray_session):
+    """A map over all-empty input leaves Ray's blocks untyped. An inner
+    join then has no rows to type and returns that empty side; a left
+    outer join cannot name the missing right columns and says so."""
+    from deed_ocr_ray.pipelines.exchange import keyed_join
+
+    left, right = _sides("int")
+    untyped = _blocks(right.slice(0, 0), 1).map_batches(lambda t: t, batch_format="pyarrow")
+    assert untyped.materialize().schema() is None
+    assert keyed_join(_blocks(left, 2), untyped, "k", right_on="rk").count() == 0
+    with pytest.raises(ValueError, match="untyped"):
+        keyed_join(_blocks(left, 2), untyped, "k", right_on="rk", how="left outer")

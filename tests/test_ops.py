@@ -394,6 +394,34 @@ def test_minhash_estimates_track_exact_jaccard(ray_session):
     assert (err < 0.3).all()
 
 
+def test_minhash_pairs_equal_pandas_verification(ray_session):
+    """Pins WHICH pairs ``q_minhash_pairs`` emits, not only their
+    error: its two distributed signature joins must give exactly the
+    pairs a single-process pandas merge of the same candidates and
+    signatures gives."""
+    import pyarrow as pa
+
+    from deed_ocr_ray.pipelines.dedup import (
+        _candidate_pairs, _est_jaccard_from_sigs, minhash_sigs, q_minhash_pairs)
+
+    sigs = minhash_sigs(SF).materialize()
+    cand = _candidate_pairs(sigs).to_pandas()
+    cand = cand.loc[cand["doc_a"] >= 0, ["doc_a", "doc_b"]]  # drop sentinels
+    sig = sigs.to_pandas()
+    m = (cand.merge(sig.rename(columns={"doc_id": "doc_a", "sig": "sig_a"}), on="doc_a")
+         .merge(sig.rename(columns={"doc_id": "doc_b", "sig": "sig_b"}), on="doc_b"))
+    est = _est_jaccard_from_sigs(pa.Table.from_pandas(m, preserve_index=False))
+    want = est.filter(pa.compute.greater_equal(est["est_jaccard"], 0.5)).to_pandas()
+    got = q_minhash_pairs(SF).to_pandas()
+
+    def rows(df):
+        return sorted(zip(df["doc_a"], df["doc_b"], df["est_jaccard"]))
+
+    assert len(want) > 0
+    assert list(got.columns) == ["doc_a", "doc_b", "est_jaccard"]
+    assert rows(got) == rows(want)
+
+
 def test_training_prep_pipeline_invariants(ray_session):
     from deed_ocr_ray.pipelines.prep import WINDOW_TOKENS, q_training_prep
 

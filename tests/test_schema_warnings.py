@@ -11,7 +11,9 @@ import pytest
 from test_oracle_parity import SF
 
 QUERIES = ["term_stats", "sessionize", "tfidf_topk", "q3_shipping_priority",
-           "event_gaps", "customer_ltv", "asof_last_ship", "dup_ngram_coverage"]
+           "event_gaps", "customer_ltv", "asof_last_ship", "dup_ngram_coverage",
+           "customers_no_orders", "jaccard_adjacent", "remove_dup_ngrams",
+           "neardup_clusters", "cluster_keep_best", "pagerank"]
 
 
 @pytest.mark.parametrize("name", QUERIES)

@@ -260,6 +260,30 @@ def test_event_transitions_tie_order_and_user_boundary(ray_session, tmp_path):
     assert pairs == {("a", "b"): 1, ("b", "c"): 1, ("c", "a"): 1}
 
 
+# ------------------------------------------------ anti join (left outer)
+
+def test_customers_no_orders_without_big_orders(ray_session, tmp_path):
+    """No order passes the BIG_ORDER filter, so the anti-join's right
+    side is all typed-empty blocks: every customer comes back. (Ray's
+    ``Dataset.join`` failed here with "No match ... for key field".)"""
+    from deed_ocr_ray.pipelines import windows
+
+    cust = pa.table({
+        "c_custkey": pa.array([1, 2, 3], type=pa.int64()),
+        "c_name": pa.array(["one", "two", "three"], type=pa.string()),
+    })
+    orders = pa.table({
+        "o_custkey": pa.array([1, 1, 3], type=pa.int64()),
+        "o_totalprice": pa.array([10.0, 20.0, windows.BIG_ORDER], type=pa.float64()),
+    })
+    pq.write_table(cust, str(tmp_path / "customer.parquet"))
+    pq.write_table(orders, str(tmp_path / "orders.parquet"))
+
+    got = windows.q_customers_no_orders(str(tmp_path)).to_pandas()
+    assert sorted(zip(got["c_custkey"], got["c_name"])) == [
+        (1, "one"), (2, "two"), (3, "three")]
+
+
 # ------------------------------------------------ customer LTV (left join)
 
 def test_customer_ltv_zero_fill_and_rounding(ray_session, tmp_path):
