@@ -374,19 +374,18 @@ def oracle_sql() -> dict[str, str]:
         # link-graph family: the pages corpus is deterministic parquet
         # under /tmp, so DuckDB replays the anchor extraction
         # independently (escaped-blob regexp; linkgraph.py oracle
-        # notes). The driver gate runs at sf=0.01, so the corpus path
-        # is pinned to that sf (sf0.001 shares the identical corpus;
-        # running tools/check_oracles.py at other sfs will flag these
-        # five — that is the pin showing, not an operator bug).
+        # notes). The driver gate runs at sf=0.01, so these are built
+        # for that sf; tools/check_oracles.py rebuilds them for the sf
+        # it checks.
         **_linkgraph_oracles(),
     }
 
 
-def _linkgraph_oracles() -> dict[str, str]:
+def _linkgraph_oracles(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
     from deed_ocr_ray.pipelines import dedup, linkgraph, prep
     from deed_ocr_ray.pipelines.corpus import pages_corpus_for
 
-    corpus = pages_corpus_for("/root/testdata/sf0.01")
+    corpus = pages_corpus_for(sf_dir)
     return {
         "url_dedup": linkgraph.url_dedup_sql(corpus),
         "outlinks": linkgraph.outlinks_sql(corpus),
@@ -402,11 +401,11 @@ def _linkgraph_oracles() -> dict[str, str]:
         # /tmp artifact the query reads — the corpus replay pattern
         # one level up)
         "paragraph_dedup_extracted":
-            prep.paragraph_dedup_extracted_sql("/root/testdata/sf0.01"),
+            prep.paragraph_dedup_extracted_sql(sf_dir),
         "neardup_clusters":
-            dedup.neardup_clusters_sql("/root/testdata/sf0.01"),
+            dedup.neardup_clusters_sql(sf_dir),
         "training_prep":
-            prep.training_prep_sql("/root/testdata/sf0.01"),
+            prep.training_prep_sql(sf_dir),
         "cluster_keep_best":
-            dedup.cluster_keep_best_sql("/root/testdata/sf0.01"),
+            dedup.cluster_keep_best_sql(sf_dir),
     }

@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip partitions with a manifest (crash recovery)")
     ex.add_argument("--files-per-part", type=int, default=1)
     ex.add_argument("--wave-parts", type=int, default=8,
-                    help="partitions per checkpoint wave (0 = single pass)")
+                    help="partitions per checkpoint group (0 = publish at end)")
     ex.add_argument("--batch-size", type=int, default=0,
                     help="rows per extractor call (0 = byte-bounded blocks, "
                          "the default skew guard; ~15%% faster than row counts)")

@@ -21,8 +21,11 @@ _FRAGMENT = re.compile(r"#.*$")
 _PORT_HTTP = re.compile(r":80$")
 _PORT_HTTPS = re.compile(r":443$")
 _UTM = re.compile(r"[?&]utm_[a-z_]+=[^&#]*")
-_DANGLING_AMP = re.compile(r"^([^?&]*)&")
-_Q_AMP = re.compile(r"\?&")
+# Whole '&' runs collapse, and every '?&' run does, in one pass: one
+# '&' at a time was not idempotent ('http://?&&' -> 'http://?&' ->
+# 'http://', caught by the hypothesis projection test).
+_DANGLING_AMP = re.compile(r"^([^?&]*)&+")
+_Q_AMP = re.compile(r"\?&+")
 # Trailing '?'/'/' strip runs to FIXPOINT as one regex (alternating
 # single-step strips were not idempotent: 'http://?/' -> 'http://?'
 # -> 'http://', caught by the hypothesis projection test); a tail that
@@ -42,7 +45,7 @@ def canonicalize_url(url: str) -> str:
     host = port_re.sub("", m.group(2).lower())
     tail = m.group(3)
     tail = _UTM.sub("", tail)
-    tail = _Q_AMP.sub("?", tail, count=1)
+    tail = _Q_AMP.sub("?", tail)
     tail = _DANGLING_AMP.sub(r"\1?", tail, count=1)
     stripped = _TRAIL_RUN.sub("", tail)
     if stripped == "" and tail.startswith("/"):

@@ -1,26 +1,31 @@
 """The flagship extraction pipeline: pages parquet -> extracted parquet.
 
-Dataflow (SURVEY.md §7.1):
+Dataflow (SURVEY.md §7.1), one Ray execution per job:
 
-    read_parquet(shards, include_paths)        # (url, warc_ts, html, text, lang)
-      └─ map_batches(Extractor(...))           # one stateless dispatching task stage,
-      │                                        #   fused with the read: sniff →
-      │                                        #   html/pdf/text branch → normalize →
-      │                                        #   spans → fields → error rows
-      └─ write_parquet(partition_cols=[part_id]) + per-partition manifests
+    read_parquet(pending shards, include_paths)  # (url, warc_ts, html, text, lang)
+      └─ map_batches(Extractor(...))             # one stateless dispatching task stage:
+      │                                          #   sniff → html/pdf/text branch →
+      │                                          #   normalize → spans → fields → error rows
+      └─ map_batches(_PartWriter(...))           # rows -> <out>/part_id=K/*.parquet,
+      │                                          #   returns one stats row per part
+      └─ driver: iter_batches(stats) → per-part totals → per-partition manifests
 
 Scale design decisions:
   * ONE extraction stage, run as plain tasks fused with the parquet
-    read (``ReadParquet->MapBatches(Extractor)``) — the heavy ``html``
-    binary column goes from the reader straight into the extractor in
-    the same worker and never crosses the object store.
-  * Partition unit = input shard file group; rows carry ``part_id`` so
-    ``write_parquet(partition_cols=...)`` gives one output directory per
-    input shard group — the resume/retry unit (resumable output layout).
-  * Waves: partitions are processed ``wave_parts`` at a time; each wave
-    is one streaming Dataset job (full parallelism inside), and its
-    manifests publish atomically after the wave's data is on disk.
-    Smaller waves = finer checkpoints; ``wave_parts=None`` = one pass.
+    read and the part writer — the heavy ``html`` binary column goes
+    from the reader straight into the extractor in the same worker and
+    never crosses the object store; only small stats rows reach the
+    driver.
+  * Partition unit = input shard file group; rows carry ``part_id`` and
+    the writer lays them out as one hive directory per input shard
+    group — the resume/retry unit (resumable output layout).
+  * Checkpoint groups: ``wave_parts`` partitions form one group, and a
+    group's manifests publish atomically as soon as every part in it
+    has all its rows on disk (the Extractor emits one row per input
+    row, so the input footers give the count), while later parts keep
+    streaming. Smaller groups = finer checkpoints; ``wave_parts=None``
+    publishes everything at the end. Groups are not execution
+    boundaries: the job runs once over all pending parts.
   * Skew: payloads above ``max_payload_bytes`` become typed error rows;
     blocks are byte-bounded by ``DataContext.target_max_block_size`` so
     a giant blob lands in a small-row block instead of stalling a fat
@@ -30,20 +35,24 @@ Scale design decisions:
 from __future__ import annotations
 
 import collections
+import json
 import os
 import time
+import uuid
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data
+from ray.data._internal.execution.interfaces import TaskContext
 
 from ..sources.pages import find_shards, read_pq
 from ..stages.extract import Extractor
 from ..state.manifest import (
     PartitionManifest,
     clear_stale_partitions,
-    dir_bytes,
     lineage_id,
     load_manifests,
     manifest_path,
@@ -73,7 +82,7 @@ def extract_dataset(
     extracts its own blocks, nothing has to start before the first
     block is read, and no CPU stays reserved after the job ends. Passing
     the class instead would make Ray start an actor pool on every job
-    and wave (~1 s at 4 CPUs), keep its CPUs reserved while it sits
+    (~1 s at 4 CPUs), keep its CPUs reserved while it sits
     idle (busy 39% of a 4-CPU job, perfbench ``extract.pool_busy``),
     and hang at ``num_cpus=1``, where the pool leaves no whole CPU for
     a read task.
@@ -111,7 +120,12 @@ def run_extract(
     max_payload_bytes: int = 256 * 1024 * 1024,
     target_block_bytes: int = 32 * 1024 * 1024,
 ) -> Dict[str, Any]:
-    """Run (or resume) the checkpointed extraction job. Returns a summary.
+    """Run (or resume) the checkpointed extraction job as one Ray
+    execution over all pending partitions. Returns a summary.
+
+    ``wave_parts`` partitions form one checkpoint group, whose
+    manifests publish as soon as the group's data is on disk
+    (``None`` = publish at the end).
 
     ``resume=True`` skips partitions whose manifest exists (anti-join on
     the manifest store — the retry_helper.py:185-222 analogue) and wipes
@@ -137,7 +151,7 @@ def run_extract(
             max_payload_bytes=max_payload_bytes,
         )
     finally:
-        # DataContext is driver-global: restore even when a wave fails
+        # DataContext is driver-global: restore even when the job fails
         # (write error, bad shard) so later jobs in this process see the
         # original block size.
         ctx.target_max_block_size = prev_block_size
@@ -164,13 +178,14 @@ def _run_extract_inner(
         # different files. Validate content-derived lineage and treat
         # mismatches as incomplete, so changed partitions re-process
         # instead of being silently skipped with wrong data.
+        manifests = load_manifests(out_dir)
         completed = {
             pid: m
-            for pid, m in load_manifests(out_dir).items()
+            for pid, m in manifests.items()
             if pid < len(parts) and m.get("lineage_id") == lineage_id(parts[pid])
         }
         clear_stale_partitions(out_dir, completed)
-        for pid in set(load_manifests(out_dir)) - set(completed):
+        for pid in manifests.keys() - completed.keys():
             try:
                 os.remove(manifest_path(out_dir, pid))
             except OSError:
@@ -184,13 +199,33 @@ def _run_extract_inner(
     os.makedirs(out_dir, exist_ok=True)
 
     pending = [pid for pid in range(len(parts)) if pid not in completed]
-    wave_size = wave_parts or max(1, len(pending))
-    waves = [pending[i : i + wave_size] for i in range(0, len(pending), wave_size)]
+    group_size = wave_parts or max(1, len(pending))
+    groups = [pending[i : i + group_size] for i in range(0, len(pending), group_size)]
+    # The Extractor emits one row per input row, so a part is complete
+    # once its stats reach the row count of its input files' footers.
+    expected = {pid: sum(pq.read_metadata(f).num_rows for f in parts[pid])
+                for pid in pending}
+    totals = {pid: dict(_ZERO_STATS, error_counts={}) for pid in pending}
 
-    n_rows = n_ok = 0
-    error_counts: collections.Counter = collections.Counter()
-    for wave in waves:
-        path_to_part = {f: pid for pid in wave for f in parts[pid]}
+    def publish_complete_groups() -> None:
+        # a stats row follows its file, so a group whose row counts are
+        # complete has all of its data on disk
+        for group in [g for g in groups
+                      if all(totals[pid]["row_count"] == expected[pid] for pid in g)]:
+            for pid in group:
+                write_manifest(out_dir, PartitionManifest(
+                    part_id=pid,
+                    lineage_id=lineage_id(parts[pid]),
+                    input_files=parts[pid],
+                    bytes_in=sum(os.path.getsize(f) for f in parts[pid]),
+                    **totals[pid],
+                ))
+            groups.remove(group)
+
+    if pending:
+        # ONE Ray execution for every pending part: read, extract and
+        # write fuse into one task stage whose only output is stats rows.
+        path_to_part = {f: pid for pid in pending for f in parts[pid]}
         ds = read_pq(sorted(path_to_part), include_paths=True)
         ds = extract_dataset(
             ds,
@@ -199,29 +234,23 @@ def _run_extract_inner(
             batch_size=batch_size,
             max_payload_bytes=max_payload_bytes,
         )
-        ds.write_parquet(out_dir, partition_cols=["part_id"])
-        # publish manifests (atomic, after data) with read-back stats
-        # over two tiny columns — columnar pruning keeps this cheap.
-        for pid in wave:
-            pdir = part_dir(out_dir, pid)
-            stats = _part_stats(pdir)
-            m = PartitionManifest(
-                part_id=pid,
-                lineage_id=lineage_id(parts[pid]),
-                input_files=parts[pid],
-                row_count=stats["rows"],
-                ok_count=stats["ok"],
-                error_counts=stats["errors"],
-                bytes_in=sum(os.path.getsize(f) for f in parts[pid]),
-                bytes_out=dir_bytes(pdir),
-                extract_us_sum=stats["extract_us"],
-            )
-            write_manifest(out_dir, m)
-            n_rows += stats["rows"]
-            n_ok += stats["ok"]
-            error_counts.update(stats["errors"])
+        stats = ds.map_batches(
+            _PartWriter(out_dir, uuid.uuid4().hex),
+            batch_format="pyarrow",
+            concurrency=concurrency,
+        )
+        publish_complete_groups()  # parts whose input files hold no rows
+        for batch in stats.iter_batches(batch_format="pyarrow", batch_size=None):
+            _part_stats(totals, batch)
+            publish_complete_groups()
+        if groups:
+            short = {pid: (totals[pid]["row_count"], expected[pid])
+                     for g in groups for pid in g}
+            raise RuntimeError(f"extracted rows != input rows (got, want) per part: {short}")
 
-    for m in completed.values():
+    n_rows = n_ok = 0
+    error_counts: collections.Counter = collections.Counter()
+    for m in [*totals.values(), *completed.values()]:
         n_rows += m["row_count"]
         n_ok += m["ok_count"]
         error_counts.update(m["error_counts"])
@@ -239,22 +268,66 @@ def _run_extract_inner(
     }
 
 
-def _part_stats(pdir: str) -> Dict[str, Any]:
-    if not os.path.isdir(pdir):
-        return {"rows": 0, "ok": 0, "errors": {}, "extract_us": 0}
-    tbl = pq.read_table(pdir, columns=["status", "error_type", "extract_us"])
-    status = tbl.column("status").to_pylist()
-    etypes = tbl.column("error_type").to_pylist()
-    errors = collections.Counter(e for s, e in zip(status, etypes) if s == "error")
-    import pyarrow.compute as pc
+# per-part figures the part writer returns, named as manifest fields
+_ZERO_STATS = {"row_count": 0, "ok_count": 0, "extract_us_sum": 0,
+               "bytes_out": 0, "write_us_sum": 0}
+_STATS_SCHEMA = pa.schema([("part_id", pa.int64()), ("error_counts", pa.string())]
+                          + [(k, pa.int64()) for k in _ZERO_STATS])
 
-    us = pc.sum(tbl.column("extract_us")).as_py() or 0
-    return {
-        "rows": tbl.num_rows,
-        "ok": sum(1 for s in status if s == "ok"),
-        "errors": dict(errors),
-        "extract_us": int(us),
-    }
+
+class _PartWriter:
+    """Sink stage of the extraction job: writes each block's rows per
+    ``part_id`` to ``<out>/part_id=K/`` (hive layout: the part column
+    lives in the directory name, not in the file) and returns one stats
+    row per part written: rows, ok, error counts by type (JSON), the
+    ``extract_us`` sum, bytes written and write µs.
+
+    File names are deterministic per task, as Ray's datasinks name them
+    (write uuid + task index + call number within the task), so a
+    retried task overwrites its files instead of adding a second copy.
+    """
+
+    def __init__(self, out_dir: str, write_uuid: str) -> None:
+        self.out_dir = out_dir
+        self.write_uuid = write_uuid
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        ctx = TaskContext.get_current()
+        seq = ctx.kwargs["part_writer_calls"] = ctx.kwargs.get("part_writer_calls", -1) + 1
+        name = f"{self.write_uuid}_{ctx.task_idx:06}_{seq:06}.parquet"
+        part_col = batch.column("part_id")
+        data = batch.drop_columns(["part_id"])
+        out = []
+        for pid in pc.unique(part_col).to_pylist():
+            rows = data.filter(pc.equal(part_col, pid))
+            path = os.path.join(part_dir(self.out_dir, pid), name)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            t0 = time.perf_counter_ns()
+            pq.write_table(rows, path)
+            write_us = (time.perf_counter_ns() - t0) // 1000
+            status = rows.column("status")
+            errors = rows.filter(pc.equal(status, "error")).column("error_type")
+            out.append({
+                "part_id": pid,
+                "error_counts": json.dumps(
+                    {v["values"]: v["counts"] for v in errors.value_counts().to_pylist()}),
+                "row_count": rows.num_rows,
+                "ok_count": pc.sum(pc.equal(status, "ok")).as_py() or 0,
+                "extract_us_sum": pc.sum(rows.column("extract_us")).as_py() or 0,
+                "bytes_out": os.path.getsize(path),
+                "write_us_sum": write_us,
+            })
+        return pa.Table.from_pylist(out, schema=_STATS_SCHEMA)
+
+
+def _part_stats(totals: Dict[int, Dict[str, Any]], batch: pa.Table) -> None:
+    """Fold one batch of ``_PartWriter`` stats rows into per-part totals."""
+    for r in batch.to_pylist():
+        t = totals[r["part_id"]]
+        for k in _ZERO_STATS:
+            t[k] += r[k]
+        for e, n in json.loads(r["error_counts"]).items():
+            t["error_counts"][e] = t["error_counts"].get(e, 0) + n
 
 
 def read_extracted(out_dir: str, columns: Optional[List[str]] = None) -> "ray.data.Dataset":
@@ -268,10 +341,6 @@ def export_extracted(out_dir: str, dest: str, fmt: str = "json") -> int:
     implemented json; all three are real here). CSV cannot hold nested
     columns, so ``spans``/``fields``/``stage`` structs are serialized to
     JSON strings per row. Returns the exported row count."""
-    import json as _json
-
-    import pyarrow as pa
-
     ds = read_extracted(out_dir)
     if fmt == "parquet":
         ds.write_parquet(dest)
@@ -285,7 +354,7 @@ def export_extracted(out_dir: str, dest: str, fmt: str = "json") -> int:
             for name in t.column_names:
                 if name in nested:
                     cols[name] = pa.array(
-                        [_json.dumps(v, ensure_ascii=False, sort_keys=True)
+                        [json.dumps(v, ensure_ascii=False, sort_keys=True)
                          for v in t.column(name).to_pylist()],
                         type=pa.string(),
                     )
@@ -311,8 +380,6 @@ def dump_page_debug(input_path: Union[str, Sequence[str]], dest: str) -> Dict[st
     driver loop); names key on md5(url) so they are stable and
     collision-free across shards. Returns counters."""
     import hashlib
-
-    import pyarrow as pa
 
     from ..stages.pdf_extract import parse_pdf_pages
 

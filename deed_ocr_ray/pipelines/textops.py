@@ -754,7 +754,7 @@ s3 AS (
   SELECT doc_id, url, sch, host,
     regexp_replace(regexp_replace(
         regexp_replace(tail, '[?&]utm_[a-z_]+=[^&#]*', '', 'g'),
-        '\?&', '?'), '^([^?&]*)&', '\1?') AS pre
+        '\?&+', '?', 'g'), '^([^?&]*)&+', '\1?') AS pre
   FROM s2
 ),
 s4 AS (
@@ -843,7 +843,7 @@ s3 AS (
   SELECT doc_id, sch, host,
     regexp_replace(regexp_replace(
         regexp_replace(tail, '[?&]utm_[a-z_]+=[^&#]*', '', 'g'),
-        '\?&', '?'), '^([^?&]*)&', '\1?') AS pre
+        '\?&+', '?', 'g'), '^([^?&]*)&+', '\1?') AS pre
   FROM s2
 ),
 s4 AS (

@@ -235,8 +235,10 @@ class Extractor:
     """Stateless batch extractor: ``pa.Table`` in -> ``pa.Table`` out.
 
     ``path_to_part`` maps input file path -> checkpoint partition id
-    (rows carry ``part_id`` so ``write_parquet(partition_cols=...)``
-    lays output out per input shard — the resume unit).
+    (rows carry ``part_id`` so the extraction job's part writer lays
+    output out per input shard group — the resume unit). Every input
+    row yields exactly one output row, error rows included; the job
+    counts a partition complete by that.
     ``max_payload_bytes`` routes absurd payloads to ``oversize`` error
     rows instead of stalling a worker (skew guard).
     """

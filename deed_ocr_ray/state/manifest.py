@@ -40,6 +40,7 @@ class PartitionManifest:
     bytes_in: int
     bytes_out: int
     extract_us_sum: int
+    write_us_sum: int = 0
 
     def to_json(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -94,7 +95,7 @@ def load_manifests(out_dir: str) -> Dict[int, Dict[str, Any]]:
 
 def clear_stale_partitions(out_dir: str, completed: Dict[int, Dict[str, Any]]) -> List[int]:
     """Delete ``part_id=K`` data dirs that have no manifest (partial
-    output from a crashed wave). Returns the removed part ids."""
+    output from a crashed job). Returns the removed part ids."""
     removed: List[int] = []
     if not os.path.isdir(out_dir):
         return removed
@@ -110,13 +111,3 @@ def clear_stale_partitions(out_dir: str, completed: Dict[int, Dict[str, Any]]) -
             removed.append(pid)
     return removed
 
-
-def dir_bytes(path: str) -> int:
-    total = 0
-    for root, _dirs, files in os.walk(path):
-        for f in files:
-            try:
-                total += os.path.getsize(os.path.join(root, f))
-            except OSError:
-                pass
-    return total

@@ -30,13 +30,14 @@ def run_report(out_dir: str, planned_parts: Optional[int] = None) -> Dict[str, A
     """Aggregate all manifests into one summary dict (G4/G5 analogue)."""
     ms = load_manifests(out_dir)
     errors: collections.Counter = collections.Counter()
-    rows = ok = bytes_in = bytes_out = extract_us = 0
+    rows = ok = bytes_in = bytes_out = extract_us = write_us = 0
     for m in ms.values():
         rows += m["row_count"]
         ok += m["ok_count"]
         bytes_in += m["bytes_in"]
         bytes_out += m["bytes_out"]
         extract_us += m.get("extract_us_sum", 0)
+        write_us += m.get("write_us_sum", 0)
         errors.update(m["error_counts"])
     n_err = rows - ok
     return {
@@ -52,6 +53,7 @@ def run_report(out_dir: str, planned_parts: Optional[int] = None) -> Dict[str, A
         "bytes_in": bytes_in,
         "bytes_out": bytes_out,
         "extract_cpu_s": extract_us / 1e6,
+        "write_cpu_s": write_us / 1e6,
     }
 
 
@@ -158,6 +160,7 @@ def format_report(
         f"rate {summary['error_rate']:.2%})",
         f"bytes in/out:      {summary['bytes_in']} / {summary['bytes_out']}",
         f"extract cpu:       {summary['extract_cpu_s']:.1f}s",
+        f"write cpu:         {summary['write_cpu_s']:.2f}s",
     ]
     if summary["error_counts"]:
         lines.append("errors by type:")

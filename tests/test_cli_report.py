@@ -39,8 +39,9 @@ def test_run_report_aggregates_manifests(run_dir):
     assert s["ok_count"] + s["error_count"] == 120
     assert s["error_count"] > 0  # corpus has truncated pdf / junk rows
     assert "pdf_parse_error" in s["error_counts"]
+    assert s["write_cpu_s"] > 0
     txt = format_report(s, retry_candidates(out))
-    assert "rows:" in txt and "errors by type:" in txt
+    assert "rows:" in txt and "errors by type:" in txt and "write cpu:" in txt
 
 
 def test_run_report_reads_manifests_with_legacy_wall_ms(tmp_path):
@@ -60,6 +61,7 @@ def test_run_report_reads_manifests_with_legacy_wall_ms(tmp_path):
     assert s["parts_completed"] == 2
     assert s["row_count"] == 20 and s["error_counts"] == {"decode_error": 2}
     assert s["extract_cpu_s"] == 4.0
+    assert s["write_cpu_s"] == 0.0  # neither manifest recorded write time
     assert "wall_ms_sum" not in s
     assert "rows:" in format_report(s, retry_candidates(out))
 

@@ -50,11 +50,29 @@ def test_e2e_byte_identical_to_golden(ray_session, corpus_dir, tmp_path):
         assert got.column(name).equals(want.column(name)), f"column {name} differs"
 
 
+def _read_back_stats(pdir: str) -> dict:
+    """Manifest figures recomputed from a part's written files: the
+    oracle for the stats the part writer streams to the driver."""
+    tbl = pq.read_table(pdir, columns=["status", "error_type", "extract_us"])
+    status = tbl.column("status").to_pylist()
+    errors = {}
+    for s, e in zip(status, tbl.column("error_type").to_pylist()):
+        if s == "error":
+            errors[e] = errors.get(e, 0) + 1
+    return {
+        "row_count": tbl.num_rows,
+        "ok_count": status.count("ok"),
+        "error_counts": errors,
+        "extract_us_sum": pc.sum(tbl.column("extract_us")).as_py() or 0,
+        "bytes_out": sum(os.path.getsize(os.path.join(pdir, f)) for f in os.listdir(pdir)),
+    }
+
+
 def test_manifests_written_with_lineage_and_metrics(ray_session, corpus_dir, tmp_path):
     from deed_ocr_ray.pipelines.extract_pipeline import run_extract
 
     out = str(tmp_path / "out")
-    run_extract(corpus_dir, out, files_per_part=2, wave_parts=None, concurrency=2)
+    run_extract(corpus_dir, out, files_per_part=2, wave_parts=2, concurrency=2)
     manifests = load_manifests(out)
     assert len(manifests) == 3  # 6 shards / 2 per part
     total = 0
@@ -63,8 +81,62 @@ def test_manifests_written_with_lineage_and_metrics(ray_session, corpus_dir, tmp
         assert m["input_files"]
         assert m["row_count"] == m["ok_count"] + sum(m["error_counts"].values())
         assert m["bytes_in"] > 0 and m["bytes_out"] > 0
+        assert m["write_us_sum"] > 0
+        got = {k: m[k] for k in ("row_count", "ok_count", "error_counts",
+                                 "extract_us_sum", "bytes_out")}
+        assert got == _read_back_stats(part_dir(out, pid))
         total += m["row_count"]
     assert total == SF_TEST["n_rows"]
+
+
+def test_one_ray_execution_per_job(ray_session, corpus_dir, tmp_path, monkeypatch):
+    """Checkpoint groups are not execution boundaries: 3 parts in
+    groups of 2 are read by one Dataset, and every part still gets its
+    manifest."""
+    from deed_ocr_ray.pipelines import extract_pipeline as ep
+
+    calls = []
+    real = ep.read_pq
+
+    def counting(*a, **k):
+        calls.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr(ep, "read_pq", counting)
+    out = str(tmp_path / "out")
+    summary = ep.run_extract(corpus_dir, out, files_per_part=2, wave_parts=2, concurrency=2)
+    assert len(calls) == 1
+    assert sorted(load_manifests(out)) == [0, 1, 2]
+    assert summary["n_rows"] == SF_TEST["n_rows"]
+
+
+def test_part_writer_retry_overwrites_its_files(tmp_path):
+    """A retried task (same task index, fresh task context) writes the
+    same file names, so its rows replace the first attempt's files
+    instead of adding a second copy."""
+    from ray.data._internal.execution.interfaces import TaskContext
+
+    from deed_ocr_ray.pipelines.extract_pipeline import _PartWriter
+    from deed_ocr_ray.stages.extract import Extractor
+
+    tbl = pq.read_table(GOLDEN).slice(0, 40)
+    batch = Extractor()(tbl.select(["url", "warc_ts", "lang"]).append_column(
+        "html", pa.nulls(40, pa.binary())).append_column("text", pa.nulls(40, pa.string())))
+    batch = batch.set_column(batch.schema.get_field_index("part_id"), "part_id",
+                             pa.array([i % 2 for i in range(40)], pa.int32()))
+    writer = _PartWriter(str(tmp_path), "w0")
+    for _attempt in range(2):
+        TaskContext.set_current(TaskContext(task_idx=3, op_name="write"))
+        try:
+            stats = [writer(batch), writer(batch.slice(0, 10))]
+        finally:
+            TaskContext.reset_current()
+    assert sorted(os.listdir(tmp_path / "part_id=0")) == [
+        "w0_000003_000000.parquet", "w0_000003_000001.parquet"]
+    assert pq.read_table(str(tmp_path / "part_id=1")).num_rows == 20 + 5
+    assert "part_id" not in pq.read_schema(
+        str(tmp_path / "part_id=1" / "w0_000003_000000.parquet")).names
+    assert stats[0].column("row_count").to_pylist() == [20, 20]
 
 
 def test_resume_skips_completed_and_matches_uninterrupted(ray_session, corpus_dir, tmp_path):
@@ -244,20 +316,85 @@ def test_extract_runs_as_task_stage(ray_session, corpus_dir):
 
 def test_failed_wave_restores_data_context(ray_session, corpus_dir, tmp_path,
                                            monkeypatch):
-    """A write failure mid-wave must not leak the global
-    target_max_block_size override (try/finally contract)."""
+    """A failure while the job streams (here: publishing a manifest)
+    must not leak the global target_max_block_size override
+    (try/finally contract)."""
     import ray.data as rd
 
     from deed_ocr_ray.pipelines import extract_pipeline as ep
 
     prev = rd.DataContext.get_current().target_max_block_size
 
-    def boom(self, *a, **k):
+    def boom(*a, **k):
         raise RuntimeError("disk gone")
 
-    monkeypatch.setattr(rd.Dataset, "write_parquet", boom)
+    monkeypatch.setattr(ep, "write_manifest", boom)
     with pytest.raises(RuntimeError):
         ep.run_extract(corpus_dir, str(tmp_path / "out"), files_per_part=2,
                        wave_parts=2, concurrency=2,
                        target_block_bytes=123 * 1024)
     assert rd.DataContext.get_current().target_max_block_size == prev
+
+
+_CRASH_AFTER_TWO_MANIFESTS = """
+import os
+import sys
+import ray
+from ray.data import DataContext
+from deed_ocr_ray.pipelines import extract_pipeline as ep
+
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+real, calls = ep.write_manifest, []
+
+def write_then_die(*a, **k):
+    path = real(*a, **k)
+    calls.append(path)
+    if len(calls) == 2:
+        os._exit(3)
+    return path
+
+ep.write_manifest = write_then_die
+ep.run_extract(sys.argv[1], sys.argv[2], files_per_part=1, wave_parts=1)
+"""
+
+
+def test_crash_mid_job_then_resume(ray_session, corpus_dir, tmp_path):
+    """Manifests land while the job still runs: a driver that dies
+    after its 2nd manifest leaves 2 complete parts (and possibly partial
+    data of others), and a resume skips exactly those and re-creates
+    the rest to match a fresh run."""
+    import signal
+    import subprocess
+    import sys
+
+    from deed_ocr_ray.pipelines.extract_pipeline import run_extract
+
+    out = str(tmp_path / "out")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (repo, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CRASH_AFTER_TWO_MANIFESTS, corpus_dir, out],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        # the child's Ray processes share its process group: no orphan
+        # worker may keep writing into the output dir
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert proc.returncode == 3, err[-2000:]
+    assert len(load_manifests(out)) == 2
+
+    summary = run_extract(corpus_dir, out, resume=True, files_per_part=1,
+                          wave_parts=1, concurrency=2)
+    assert summary["parts_skipped"] == 2
+    assert summary["n_rows"] == SF_TEST["n_rows"]
+    fresh = str(tmp_path / "fresh")
+    run_extract(corpus_dir, fresh, files_per_part=1, wave_parts=1, concurrency=2)
+    assert _canonical(pq.read_table(out)).equals(_canonical(pq.read_table(fresh)))

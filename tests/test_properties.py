@@ -9,7 +9,7 @@ into the final text.
 
 import string
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deed_ocr_ray.functions.normalize import (
@@ -134,6 +134,9 @@ _urlish = st.one_of(
 
 
 @given(_urlish)
+@example("http://?&&")  # '&' runs: one '&' per pass was not idempotent
+@example("http://x/a&&b")
+@example("http://h?&?&")
 @settings(max_examples=300, deadline=None)
 def test_canonicalize_url_total_and_idempotent(u):
     """canonicalize_url is a total function and a projection: applying

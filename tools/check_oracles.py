@@ -69,7 +69,9 @@ def main() -> None:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
 
     qs = ent.queries()
-    oracles = ent.oracle_sql()
+    # the driver's oracles, with the corpus/checkpoint replays rebuilt
+    # for this sf (oracle_sql() pins them to the sf the driver runs)
+    oracles = {**ent.oracle_sql(), **ent._linkgraph_oracles(sf_dir)}
     failures = []
     for name, fn in qs.items():
         if only and name not in only:
