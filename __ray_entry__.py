@@ -72,27 +72,14 @@ def _extract_spans_query(sf_dir: str) -> Any:
 
 def _url_dedup_query(sf_dir: str) -> Any:
     """Cross-corpus url exact dedup: first capture wins by warc_ts
-    (cross-row D1 over the synthesized pages corpus). Coarse-partition
-    pattern: keyed exchange on ``url`` (256 parts), resolve exact urls
-    with a vectorized in-partition groupby (per-key map_groups pays one
-    UDF call per mostly-singleton key)."""
-    import pandas as pd
-
+    (cross-row D1 over the synthesized pages corpus) — one keyed
+    ``min(warc_ts)`` per url."""
     from deed_ocr_ray.pipelines.corpus import pages_corpus_for
-    from deed_ocr_ray.pipelines.exchange import keyed_exchange
+    from deed_ocr_ray.pipelines.exchange import keyed_aggregate
     from deed_ocr_ray.sources.pages import read_pages
 
-    corpus = pages_corpus_for(sf_dir)
-    ds = read_pages(corpus, columns=["url", "warc_ts"])
-
-    def first_by_ts(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["url", "warc_ts"]).drop_duplicates("url", keep="first")
-        return pa.table({
-            "url": pa.array(g["url"].tolist(), type=pa.string()),
-            "warc_ts": pa.Array.from_pandas(g["warc_ts"], type=pa.timestamp("us")),
-        })
-
-    return keyed_exchange(ds, "url", first_by_ts, parts=256)
+    ds = read_pages(pages_corpus_for(sf_dir), columns=["url", "warc_ts"])
+    return keyed_aggregate(ds, "url", {"warc_ts": ("warc_ts", "min")})
 
 
 def _pdf_layout_query(sf_dir: str) -> Any:
@@ -115,42 +102,34 @@ def entry() -> Any:
 
 # ---------------------------------------------------------------- queries
 
-# Round-5 driver-budget ordering (the driver walks queries() in
-# insertion order with a ~50-query budget per round; keep the
-# never/oldest-checked-first discipline):
-#   tier 1 = last CORRECTNESS row in r1/r2 only (14 queries)
-#   tier 2 = oracle newly added in r5 (rows-only -> hash-checked) plus
-#            every query whose implementation was edited in r5
-#            (vectorized explodes, fuzzy DP, grouped-path rework)
-#   tier 3 = last checked in r3; remainder (r4-green) last.
-_R5_TIER1 = [
-    "lang_id", "line_repetition", "compress_ratio", "corpus_filter",
-    "pack_windows", "kmeans", "exact_dedup", "minhash_pairs", "simhash",
-    "simhash_near_pairs", "jaccard_adjacent", "hll_users",
-    "minhash_validate", "lsh_overflow",
-]
-_R5_TIER2 = [
-    "neardup_clusters", "cluster_keep_best", "paragraph_dedup_extracted",
-    "token_rarity", "tfidf_topk", "dup_ngram_coverage",
-    "remove_dup_ngrams", "lm_score", "posting_pairs", "vocab_ids",
-    "bigram_counts", "token_count", "token_count_bpe", "quality_score",
-    "pii_redact", "decontaminate", "fuzzy_url_pairs", "knn_cosine",
-    "knn_ivf", "knn_lsh", "price_quantiles", "sessionize", "canon_dedup",
-    "url_canon", "doc_authority", "training_prep",
-]
-_R5_TIER3 = [
-    "embedding_neardup", "pca_project", "media_pipeline",
-    "image_features", "audio_features", "chunk_windows",
-    "seeded_shuffle", "bpe_merges", "bpe_tokenize", "snapshot_diff",
+# Driver-budget ordering: the driver walks queries() in insertion order
+# with a ~50-query budget per round. First the flagship extraction
+# queries, then the queries whose last CORRECTNESS_r*.json row is r3 or
+# older, then the queries whose plans now run exchange.keyed_aggregate;
+# every other query follows in registry order.
+_ROTATION = [
+    "extract", "extract_spans",
+    # last checked in r3
     "interleave_sources", "outlinks", "host_graph", "host_degree",
-    "anchor_terms", "extract", "ensemble_extract", "extract_spans",
-    "url_dedup", "pdf_layout", "q1_pricing_summary", "q6_revenue_filter",
-    "topk_orders", "mktsegment_orders", "nation_revenue", "events_hourly",
+    "anchor_terms", "ensemble_extract", "url_dedup", "pdf_layout",
+    "q1_pricing_summary", "q6_revenue_filter", "topk_orders",
+    "mktsegment_orders", "nation_revenue", "events_hourly",
     "lang_source_stats", "region_part_revenue", "daily_active_users",
     "top_parts_per_nation", "running_total", "order_rank",
     "customers_no_orders", "asof_last_ship", "range_join_ship",
     "event_transitions", "customer_ltv", "moving_avg_dau",
     "price_quantile_sketch", "doc_normalize",
+    # keyed aggregates moved onto exchange.keyed_aggregate
+    "top_terms", "posting_pairs", "bigram_counts", "canon_dedup",
+    "vocab_ids", "price_quantiles", "q3_shipping_priority", "exact_dedup",
+    "minhash_pairs", "minhash_validate", "lsh_overflow",
+    "simhash_near_pairs", "simhash_overflow", "neardup_clusters",
+    "cluster_keep_best", "pagerank", "doc_authority", "bpe_merges",
+    "bpe_tokenize", "split_stats", "domain_stats", "length_histogram",
+    "term_stats", "source_mixture", "snapshot_diff", "bloom_semijoin",
+    "revenue_rollup", "revenue_cube", "retention_7d",
+    "quantity_percentiles", "grouped_percentiles", "price_deciles",
+    "lang_pivot", "token_rarity", "lm_score",
 ]
 
 
@@ -161,7 +140,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     )
 
     base = {
-        # ------ tier 1: never driver-checked (r1-r3) — must run first
         "stratified_split": curation.q_stratified_split,
         "split_stats": curation.q_split_stats,
         "pii_redact": curation.q_pii_redact,
@@ -192,8 +170,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "simhash_overflow": dedup.q_simhash_overflow,
         "neardup_clusters": dedup.q_neardup_clusters,
         "cluster_keep_best": dedup.q_cluster_keep_best,
-        # ------ tier 2: oracle newly added in round 4 — need a
-        # hash-checked row of record
         "paragraph_dedup": prep.q_paragraph_dedup,
         "pagerank": linkgraph.q_pagerank_checked,
         "doc_authority": linkgraph.q_doc_authority,
@@ -205,7 +181,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "knn_lsh": similarity.q_knn_lsh,
         "fuzzy_url_pairs": dedup.q_fuzzy_url_pairs,
         "value_outliers": analysis.q_value_outliers,
-        # ------ tier 3: last checked in r1/r2 only
         "quality_score": textops.q_quality_score,
         "fingerprint": textops.q_fingerprint,
         "fingerprint_rolling": textops.q_fingerprint_rolling,
@@ -229,7 +204,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hll_users": dedup.q_hll_users,
         "minhash_validate": dedup.q_minhash_validate,
         "lsh_overflow": dedup.q_lsh_overflow,
-        # ------ tier 4: hash-green in CORRECTNESS_r03
         "knn_cosine": similarity.q_knn_cosine,
         "knn_ivf": similarity.q_knn_ivf,
         "embedding_neardup": similarity.q_embedding_neardup,
@@ -282,9 +256,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "token_count": textops.q_token_count,
         "token_count_bpe": textops.q_token_count_bpe,
     }
-    first = [k for k in _R5_TIER1 + _R5_TIER2 + _R5_TIER3 if k in base]
-    rest = [k for k in base if k not in set(first)]
-    return {k: base[k] for k in first + rest}
+    return {k: base[k] for k in dict.fromkeys(_ROTATION + list(base))}
 
 
 def oracle_sql() -> dict[str, str]:

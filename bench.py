@@ -30,10 +30,10 @@ DOCS_MULT = int(os.environ.get("GRAFT_BENCH_DOCS_MULT", "40"))
 BENCH_SEED = 1337
 
 # queries() entries timed in default mode (moderate cost, wide coverage).
-# Shuffle-free map queries run LAST: Ray's sort-shuffle/aggregate
-# machinery logs benign "RefBundle with a different schema" warnings
-# for empty partitions it creates internally (zero-column bundles out
-# of hash_shuffle.py/aggregate finalization — not operator UDF output;
+# Shuffle-free map queries run LAST: Ray's sampled sorts (the
+# remaining keyed ``map_groups`` sites, ROADMAP item 3) can log benign
+# "RefBundle with a different schema" warnings for the empty ranges
+# they create internally (zero-column bundles, not operator UDF output;
 # every UDF here emits typed empty tables), so ending on map-only
 # queries keeps the recorded stderr tail meaningful.
 BENCH_QUERIES = [

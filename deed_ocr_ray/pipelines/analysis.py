@@ -29,9 +29,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Sum
 from ..sources.pages import read_pq
-from .exchange import PARTS, keyed_exchange, keyed_join, part_exchange, part_ids
+from .exchange import (PARTS, keyed_aggregate, keyed_exchange, keyed_join,
+                       part_exchange, part_ids)
 
 
 # ------------------------------------- duplicate n-gram span coverage
@@ -349,15 +349,8 @@ def _fine_region_nation_revenue(sf_dir: str) -> "ray.data.Dataset":
         DimSpec(f"{sf_dir}/customer.parquet",
                 ["c_custkey", "c_nationkey"], "c_custkey", cust_rn))
 
-    def rn_partial(t: pa.Table) -> pa.Table:
-        return (t.select(["rn", "price_c"])
-                .group_by("rn")
-                .aggregate([("price_c", "sum"), ("price_c", "count")]))
-
-    return (joined.map_batches(rn_partial, batch_format="pyarrow")
-            .groupby("rn")
-            .aggregate(Sum("price_c_sum", alias_name="cents"),
-                       Sum("price_c_count", alias_name="n_orders")))
+    return keyed_aggregate(joined, "rn", {"cents": ("price_c", "sum"),
+                                          "n_orders": ("price_c", "count")})
 
 
 def _grain_expand(fine: "ray.data.Dataset", grains) -> "ray.data.Dataset":
@@ -485,7 +478,7 @@ def q_retention(sf_dir: str, horizon: int = RETENTION_DAYS) -> "ray.data.Dataset
     co-partition on ``user % P``, so each partition holds every day of
     its users and answers the day+h membership with one vectorized
     merge against its own rows shifted by ``-horizon``; only slim
-    per-day partial counts reach the final exchange. Per-batch
+    per-day partial counts reach the final keyed aggregate. Per-batch
     (user, day) dedup shrinks the first shuffle to unique pairs.
     Columns: day, n_active, n_retained.
     """
@@ -516,13 +509,10 @@ def q_retention(sf_dir: str, horizon: int = RETENTION_DAYS) -> "ray.data.Dataset
                                    type=pa.int64()),
         })
 
-    agg = (
+    agg = keyed_aggregate(
         keyed_exchange(ds.map_batches(pairs, batch_format="pyarrow"),
-                       "user_id", per_user)
-        .groupby("d")
-        .aggregate(Sum("n_active", alias_name="n_active"),
-                   Sum("n_retained", alias_name="n_retained"))
-    )
+                       "user_id", per_user),
+        "d", {"n_active": ("n_active", "sum"), "n_retained": ("n_retained", "sum")})
 
     def stringify(t: pa.Table) -> pa.Table:
         days = t["d"].to_numpy().astype("datetime64[D]").astype(str)
@@ -557,8 +547,8 @@ def q_quantity_percentiles(sf_dir: str) -> "ray.data.Dataset":
     ``windows.q_price_quantiles``; mergeable approx:
     ``windows.q_price_quantile_sketch``) with an EXACT continuous
     variant that still scales: quantity's value domain is bounded, so
-    the pipeline pre-aggregates to per-batch value counts, groupby-sums
-    to at most |domain| slim rows, and one reduce task interpolates
+    the pipeline counts each value with one keyed aggregate (at most
+    |domain| slim rows), and one reduce task interpolates
     from the cumulative counts. Nothing sorts raw rows anywhere. The
     interpolation (``lo + (hi-lo)*(rank-floor(rank))`` at rank
     ``q*(n-1)``) uses the same IEEE op tree as DuckDB's
@@ -569,19 +559,12 @@ def q_quantity_percentiles(sf_dir: str) -> "ray.data.Dataset":
     ds = read_pq(f"{sf_dir}/lineitem.parquet",
                                columns=["l_quantity"])
 
-    def counts(t: pa.Table) -> pa.Table:
-        v = t["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64)
-        vals, cnt = np.unique(v, return_counts=True)
-        return pa.table({
-            "qty": pa.array(vals, type=pa.int64()),
-            "cnt": pa.array(cnt.astype(np.int64), type=pa.int64()),
-        })
+    def qty(t: pa.Table) -> pa.Table:
+        return pa.table({"qty": pa.array(
+            t["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64))})
 
-    agg = (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .groupby("qty")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-    )
+    agg = keyed_aggregate(ds.map_batches(qty, batch_format="pyarrow"),
+                          "qty", {"cnt": (None, "count_all")})
 
     def interpolate(t: pa.Table) -> pa.Table:
         order = np.argsort(t["qty"].to_numpy())
@@ -646,44 +629,30 @@ FROM m
 
 def q_grouped_percentiles(sf_dir: str) -> "ray.data.Dataset":
     """percentile_cont PER GROUP (l_returnflag): the grouped variant of
-    [[q_quantity_percentiles]] — same value-counts pre-aggregation over
-    the bounded quantity domain, keyed by (flag, qty), then a per-flag
-    interpolation over at most |domain| slim rows. Groups are few and
-    the per-group state is tiny, so per-key ``map_groups`` is fine
-    here (contrast the coarse-partition rule for high-cardinality
-    keys). Columns: l_returnflag, n, p50, p90.
+    [[q_quantity_percentiles]] — same value counts over the bounded
+    quantity domain, keyed by (flag, qty), then a per-flag
+    interpolation. The counts table is at most |flags| × |domain| slim
+    rows, so the interpolation is one task over one block.
+    Columns: l_returnflag, n, p50, p90.
     """
 
     ds = read_pq(f"{sf_dir}/lineitem.parquet",
                                columns=["l_returnflag", "l_quantity"])
 
-    def counts(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "l_returnflag": t["l_returnflag"].to_pylist(),
-            "qty": t["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64),
-        })
-        g = df.groupby(["l_returnflag", "qty"], sort=True).size().reset_index(name="cnt")
-        return pa.table({
-            "l_returnflag": pa.array(g["l_returnflag"].tolist(), type=pa.string()),
-            "qty": pa.array(g["qty"].to_numpy(), type=pa.int64()),
-            "cnt": pa.array(g["cnt"].to_numpy().astype(np.int64), type=pa.int64()),
-        })
+    def qty(t: pa.Table) -> pa.Table:
+        return pa.table({"l_returnflag": t["l_returnflag"], "qty": pa.array(
+            t["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64))})
 
-    agg = (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .groupby(["l_returnflag", "qty"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-    )
+    agg = keyed_aggregate(ds.map_batches(qty, batch_format="pyarrow"),
+                          ["l_returnflag", "qty"], {"cnt": (None, "count_all")})
 
-    def interpolate(g: pd.DataFrame) -> pa.Table:
+    def interpolate(g: pd.DataFrame) -> tuple:
         g = g.sort_values("qty")
         vals = g["qty"].to_numpy().astype(np.float64)
         cum = np.cumsum(g["cnt"].to_numpy())
-        n = int(cum[-1]) if len(cum) else 0
+        n = int(cum[-1])
 
         def pct(q: float) -> float:
-            if n == 0:
-                return 0.0
             rank = q * (n - 1)
             lo = int(math.floor(rank))
             hi = min(lo + 1, n - 1)
@@ -691,14 +660,23 @@ def q_grouped_percentiles(sf_dir: str) -> "ray.data.Dataset":
             x_hi = float(vals[np.searchsorted(cum, hi + 1)])
             return x_lo + (x_hi - x_lo) * (rank - lo)
 
+        return n, pct(0.5), pct(0.9)
+
+    def per_flag(t: pa.Table) -> pa.Table:
+        flags, rows = [], []
+        for flag, g in t.to_pandas().groupby("l_returnflag", sort=False):
+            flags.append(flag)
+            rows.append(interpolate(g))
+        n, p50, p90 = zip(*rows)
         return pa.table({
-            "l_returnflag": pa.array([g["l_returnflag"].iloc[0]], type=pa.string()),
-            "n": pa.array([n], type=pa.int64()),
-            "p50": pa.array([pct(0.5)], type=pa.float64()),
-            "p90": pa.array([pct(0.9)], type=pa.float64()),
+            "l_returnflag": pa.array(flags, type=pa.string()),
+            "n": pa.array(n, type=pa.int64()),
+            "p50": pa.array(p50, type=pa.float64()),
+            "p90": pa.array(p90, type=pa.float64()),
         })
 
-    return agg.groupby("l_returnflag").map_groups(interpolate, batch_format="pandas")
+    return agg.repartition(1).map_batches(per_flag, batch_size=None,
+                                          batch_format="pyarrow")
 
 
 Q_GROUPED_PERCENTILES_SQL = """
@@ -722,9 +700,9 @@ def q_price_deciles(sf_dir: str, k: int = NTILE_K) -> "ray.data.Dataset":
     prefix-sum: sort the slim (cents, o_orderkey) table, ship only
     per-block (first_key, n_rows) summaries to the driver, broadcast
     exclusive row offsets, then assign exact 1-based global row numbers
-    block-locally and fold them straight into per-batch partial decile
-    aggregates — the full ranked table never re-shuffles; only
-    k × blocks partial rows reach the final tiny groupby.
+    block-locally and fold them with one keyed aggregate on the decile
+    — the full ranked table never re-shuffles; its combiner sends only
+    k × blocks partial rows across the exchange.
 
     NTILE semantics match SQL exactly: with n rows, the first n % k
     buckets get ceil(n/k) rows. Money stays in integer cents
@@ -772,16 +750,10 @@ def q_price_deciles(sf_dir: str, k: int = NTILE_K) -> "ray.data.Dataset":
     total = acc
     off_ref = ray.put(offsets)
 
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "decile": pa.array([], type=pa.int64()),
-            "n": pa.array([], type=pa.int64()),
-            "min_cents": pa.array([], type=pa.int64()),
-            "max_cents": pa.array([], type=pa.int64()),
-            "sum_cents": pa.array([], type=pa.int64()),
-        })
+    def deciles(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return empty
+            return pa.table({"decile": pa.array([], type=pa.int64()),
+                             "cents": pa.array([], type=pa.int64())})
         off = ray.get(off_ref)[(t["cents"][0].as_py(), t["o_orderkey"][0].as_py())]
         rn = off + np.arange(1, t.num_rows + 1, dtype=np.int64)  # 1-based
         q, r = divmod(total, k)
@@ -792,27 +764,13 @@ def q_price_deciles(sf_dir: str, k: int = NTILE_K) -> "ray.data.Dataset":
             (rn - 1) // (q + 1) + 1 if q + 1 > 0 else 1,
             (r + (rn - cut - 1) // q + 1) if q > 0 else k,
         ).astype(np.int64)
-        cents = t["cents"].to_numpy()
-        df = pd.DataFrame({"decile": dec, "cents": cents})
-        g = df.groupby("decile", sort=True)["cents"].agg(["size", "min", "max", "sum"])
-        return pa.table({
-            "decile": pa.array(g.index.to_numpy(), type=pa.int64()),
-            "n": pa.array(g["size"].to_numpy().astype(np.int64), type=pa.int64()),
-            "min_cents": pa.array(g["min"].to_numpy(), type=pa.int64()),
-            "max_cents": pa.array(g["max"].to_numpy(), type=pa.int64()),
-            "sum_cents": pa.array(g["sum"].to_numpy(), type=pa.int64()),
-        })
+        return pa.table({"decile": pa.array(dec, type=pa.int64()),
+                         "cents": t["cents"]})
 
-    from ray.data.aggregate import Max, Min
-
-    return (
-        slim.map_batches(partial, batch_size=None, batch_format="pyarrow")
-        .groupby("decile")
-        .aggregate(Sum("n", alias_name="n"),
-                   Min("min_cents", alias_name="min_cents"),
-                   Max("max_cents", alias_name="max_cents"),
-                   Sum("sum_cents", alias_name="sum_cents"))
-    )
+    return keyed_aggregate(
+        slim.map_batches(deciles, batch_size=None, batch_format="pyarrow"),
+        "decile", {"n": (None, "count_all"), "min_cents": ("cents", "min"),
+                   "max_cents": ("cents", "max"), "sum_cents": ("cents", "sum")})
 
 
 def price_deciles_sql(k: int = NTILE_K) -> str:
@@ -843,36 +801,26 @@ PIVOT_LANGS = ("de", "en", "es", "fr", "zh")
 
 def q_lang_pivot(sf_dir: str) -> "ray.data.Dataset":
     """PIVOT/crosstab: per-source doc counts spread across one column
-    per language — the wide-format corpus composition report. Each
-    batch emits its own tiny crosstab (combiner: the exchange carries
-    |sources| × blocks slim rows, with counts already folded), then one
-    slim groupby sums the partials. Unseen languages emit 0 columns so
-    the schema is stable at every scale.
+    per language — the wide-format corpus composition report. Each row
+    becomes one 0/1 indicator per language, and one keyed aggregate
+    sums them per source. Unseen languages emit 0 columns so the
+    schema is stable at every scale.
     Columns: source, de, en, es, fr, zh, total.
     """
 
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["source", "lang"])
 
-    def crosstab(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"source": t["source"].to_pylist(),
-                           "lang": t["lang"].to_pylist()})
-        ct = pd.crosstab(df["source"], df["lang"])
-        cols = {"source": pa.array(ct.index.tolist(), type=pa.string())}
+    def indicators(t: pa.Table) -> pa.Table:
+        cols = {"source": t["source"]}
         for lang in PIVOT_LANGS:
-            vals = (ct[lang].to_numpy() if lang in ct.columns
-                    else np.zeros(len(ct), dtype=np.int64))
-            cols[lang] = pa.array(vals.astype(np.int64), type=pa.int64())
-        cols["total"] = pa.array(ct.to_numpy().sum(axis=1).astype(np.int64),
-                                 type=pa.int64())
+            cols[lang] = pc.equal(t["lang"], lang).fill_null(False).cast(pa.int64())
         return pa.table(cols)
 
-    return (
-        ds.map_batches(crosstab, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(*[Sum(lang, alias_name=lang) for lang in PIVOT_LANGS],
-                   Sum("total", alias_name="total"))
-    )
+    return keyed_aggregate(
+        ds.map_batches(indicators, batch_format="pyarrow"), "source",
+        {**{lang: (lang, "sum") for lang in PIVOT_LANGS},
+         "total": (None, "count_all")})
 
 
 Q_LANG_PIVOT_SQL = """
@@ -940,7 +888,7 @@ def q_token_rarity(sf_dir: str, rare_max: int = RARE_MAX) -> "ray.data.Dataset":
        the in-partition count IS the global count; fold each
        partition's occurrences to per-doc partial sums right there
        (docs × partitions rows leave, not occurrences);
-    2. one slim groupby on doc_id sums the partials.
+    2. one keyed aggregate on doc_id sums the partials.
 
     Tokenization is single-space split of the trimmed text,
     bit-identical to DuckDB ``string_split(trim(text), ' ')`` (empty
@@ -979,14 +927,10 @@ def q_token_rarity(sf_dir: str, rare_max: int = RARE_MAX) -> "ray.data.Dataset":
             "n_rare": pa.array(p["n_rare"].to_numpy(), type=pa.int64()),
         })
 
-    return (
+    return keyed_aggregate(
         keyed_exchange(ds.map_batches(explode, batch_format="pyarrow"),
-                       "tok", fold)
-        .groupby("doc_id")
-        .aggregate(Sum("n_tokens", alias_name="n_tokens"),
-                   Sum("rarity_mass", alias_name="rarity_mass"),
-                   Sum("n_rare", alias_name="n_rare"))
-    )
+                       "tok", fold),
+        "doc_id", {c: (c, "sum") for c in ("n_tokens", "rarity_mass", "n_rare")})
 
 
 def token_rarity_sql(rare_max: int = RARE_MAX) -> str:
@@ -1193,8 +1137,8 @@ def q_lm_score(sf_dir: str) -> "ray.data.Dataset":
     Scale shape (the corpus-global bigram table is corpus-sized, NOT
     broadcastable): per-batch per-doc bigram counts (combiner) →
     shuffle on ``hash(bigram) % P`` (in-partition count IS the global
-    count; fold to per-doc partials there) → slim groupby on doc_id
-    sums the partials. A per-doc sentinel row rides the first shuffle
+    count; fold to per-doc partials there) → one keyed aggregate on
+    doc_id sums the partials. A per-doc sentinel row rides the first shuffle
     so zero-bigram docs (< 2 tokens) still emit a row.
     Columns: doc_id, n_bigrams, c_sum, lm_score.
     """
@@ -1263,13 +1207,10 @@ def q_lm_score(sf_dir: str) -> "ray.data.Dataset":
         s = [math.log(x) for x in ((c_sum + 1.0) / (nb + 1.0)).tolist()]
         return t.append_column("lm_score", pa.array(s, type=pa.float64()))
 
-    return (
-        part_exchange(ds.map_batches(explode, batch_format="pyarrow"), fold)
-        .groupby("doc_id")
-        .aggregate(Sum("nb_part", alias_name="n_bigrams"),
-                   Sum("c_part", alias_name="c_sum"))
-        .map_batches(score, batch_format="pyarrow")
-    )
+    return keyed_aggregate(
+        part_exchange(ds.map_batches(explode, batch_format="pyarrow"), fold),
+        "doc_id", {"n_bigrams": ("nb_part", "sum"), "c_sum": ("c_part", "sum")},
+    ).map_batches(score, batch_format="pyarrow")
 
 
 Q_LM_SCORE_SQL = """

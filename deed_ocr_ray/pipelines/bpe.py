@@ -4,9 +4,9 @@ The byte-pair-encoding pipeline every LLM corpus build runs (Sennrich
 et al. 2016, the GPT-2/SentencePiece training shape), expressed
 Ray-Data-first:
 
-* the CORPUS-SCALE part — word counting — is a per-batch Counter
-  combiner + one slim ``groupby(word).sum`` (the `top_terms` shape:
-  distinct-words-per-block rows cross the shuffle, never tokens);
+* the CORPUS-SCALE part — word counting — is one keyed count (the
+  `top_terms` shape: its combiner sends distinct words per block
+  across the shuffle, never tokens);
 * the merge loop runs on the driver over the compact top-``max_words``
   (word, count) vocabulary — the kmeans-centroid pattern: BPE training
   is inherently sequential over merge steps, and the standard
@@ -35,6 +35,7 @@ import pyarrow as pa
 import ray
 import ray.data
 from ..sources.pages import read_pq
+from .exchange import keyed_aggregate
 
 END = "</w>"  # end-of-word marker (Sennrich convention)
 
@@ -102,21 +103,15 @@ def bpe_encode_word(word: str, ranks: Dict[Tuple[str, str], int]) -> List[str]:
 
 
 def distributed_word_counts(sf_dir: str) -> "ray.data.Dataset":
-    from ray.data.aggregate import Sum
-
     ds = read_pq(f"{sf_dir}/documents.parquet", columns=["text"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        c: collections.Counter = collections.Counter()
-        for x in t["text"].to_pylist():
-            c.update((x or "").split())
-        return pa.table({
-            "word": pa.array(list(c.keys()), type=pa.string()),
-            "cnt": pa.array(list(c.values()), type=pa.int64()),
-        })
+    def words(t: pa.Table) -> pa.Table:
+        return pa.table({"word": pa.array(
+            [w for x in t["text"].to_pylist() for w in (x or "").split()],
+            type=pa.string())})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("word").aggregate(Sum("cnt", alias_name="cnt")))
+    return keyed_aggregate(ds.map_batches(words, batch_format="pyarrow"),
+                           "word", {"cnt": (None, "count_all")})
 
 
 def bpe_fit(sf_dir: str, n_merges: int = BPE_MERGES,

@@ -25,8 +25,8 @@ from typing import List
 import numpy as np
 import pyarrow as pa
 import ray.data
-from ray.data.aggregate import Count, Sum
 from ..sources.pages import read_pq
+from .exchange import keyed_aggregate
 
 # ------------------------------------------------- stratified hash split
 
@@ -79,31 +79,21 @@ Q_STRATIFIED_SPLIT_SQL = stratified_split_sql()
 
 def q_split_stats(sf_dir: str, test_pct: int = 5, val_pct: int = 5) -> "ray.data.Dataset":
     """Stratification check: docs per (lang, split) — how balanced the
-    hash split is across language strata. Partial counts inside each
-    batch, then a slim (lang, split, n) groupby.
-    Columns: lang, split, n_docs."""
+    hash split is across language strata: one keyed (lang, split)
+    count. Columns: lang, split, n_docs."""
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "lang"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        langs = t["lang"].to_pylist()
-        counts: dict = {}
-        for i, lang in zip(t["doc_id"].to_pylist(), langs):
-            b = _split_bucket(i)
-            s = "test" if b < test_pct else ("val" if b < test_pct + val_pct else "train")
-            counts[(lang, s)] = counts.get((lang, s), 0) + 1
-        keys = sorted(counts)
-        return pa.table({
-            "lang": pa.array([k[0] for k in keys], type=pa.string()),
-            "split": pa.array([k[1] for k in keys], type=pa.string()),
-            "n": pa.array([counts[k] for k in keys], type=pa.int64()),
-        })
+    def splits(t: pa.Table) -> pa.Table:
+        def split(b: int) -> str:
+            return "test" if b < test_pct else ("val" if b < test_pct + val_pct else "train")
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["lang", "split"])
-        .aggregate(Sum("n", alias_name="n_docs"))
-    )
+        return pa.table({"lang": t["lang"], "split": pa.array(
+            [split(_split_bucket(i)) for i in t["doc_id"].to_pylist()],
+            type=pa.string())})
+
+    return keyed_aggregate(ds.map_batches(splits, batch_format="pyarrow"),
+                           ["lang", "split"], {"n_docs": (None, "count_all")})
 
 
 def split_stats_sql(test_pct: int = 5, val_pct: int = 5) -> str:
@@ -214,32 +204,20 @@ FROM raw
 def q_domain_stats(sf_dir: str) -> "ray.data.Dataset":
     """Per-domain corpus stats (domain synthesized from ``source`` the
     same way the url_canon family does — IDENTICAL synthesis in the
-    oracle). Per-batch partials shrink the exchange to one row per
-    (domain, batch); text column is never read (``n_chars`` is in the
-    table). Columns: domain, n_docs, total_chars, avg_chars."""
+    oracle), one keyed aggregate; text column is never read
+    (``n_chars`` is in the table).
+    Columns: domain, n_docs, total_chars, avg_chars."""
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["source", "n_chars"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        counts: dict = {}
-        for src, n in zip(t["source"].to_pylist(), t["n_chars"].to_pylist()):
-            dom = f"www.{src}.example.com"
-            c = counts.setdefault(dom, [0, 0])
-            c[0] += 1
-            c[1] += int(n)
-        keys = sorted(counts)
-        return pa.table({
-            "domain": pa.array(keys, type=pa.string()),
-            "n": pa.array([counts[k][0] for k in keys], type=pa.int64()),
-            "chars": pa.array([counts[k][1] for k in keys], type=pa.int64()),
-        })
+    def domains(t: pa.Table) -> pa.Table:
+        return pa.table({"domain": pa.array(
+            [f"www.{src}.example.com" for src in t["source"].to_pylist()],
+            type=pa.string()), "n_chars": t["n_chars"]})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("domain")
-        .aggregate(Sum("n", alias_name="n_docs"),
-                   Sum("chars", alias_name="total_chars"))
-    )
+    agg = keyed_aggregate(ds.map_batches(domains, batch_format="pyarrow"),
+                          "domain", {"n_docs": (None, "count_all"),
+                                     "total_chars": ("n_chars", "sum")})
 
     def finish(t: pa.Table) -> pa.Table:
         n = np.asarray(t["n_docs"].to_pylist(), dtype=np.float64)
@@ -269,31 +247,19 @@ FROM documents GROUP BY 1
 def q_length_histogram(sf_dir: str) -> "ray.data.Dataset":
     """Power-of-two document-length histogram — the size-distribution
     profile a curation pass reads before choosing batch/window sizes.
-    Integer-exact bucketing (bit_length, no float log); per-batch
-    partials, slim groupby. Columns: bucket, lo_chars, hi_chars,
-    n_docs, total_chars."""
+    Integer-exact bucketing (bit_length, no float log); one keyed
+    aggregate. Columns: bucket, lo_chars, hi_chars, n_docs,
+    total_chars."""
     ds = read_pq(f"{sf_dir}/documents.parquet", columns=["n_chars"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        counts: dict = {}
-        for n in t["n_chars"].to_pylist():
-            b = max(int(n), 1).bit_length()
-            c = counts.setdefault(b, [0, 0])
-            c[0] += 1
-            c[1] += int(n)
-        keys = sorted(counts)
-        return pa.table({
-            "bucket": pa.array(keys, type=pa.int64()),
-            "n": pa.array([counts[k][0] for k in keys], type=pa.int64()),
-            "chars": pa.array([counts[k][1] for k in keys], type=pa.int64()),
-        })
+    def buckets(t: pa.Table) -> pa.Table:
+        return pa.table({"bucket": pa.array(
+            [max(int(n), 1).bit_length() for n in t["n_chars"].to_pylist()],
+            type=pa.int64()), "n_chars": t["n_chars"]})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .aggregate(Sum("n", alias_name="n_docs"),
-                   Sum("chars", alias_name="total_chars"))
-    )
+    agg = keyed_aggregate(ds.map_batches(buckets, batch_format="pyarrow"),
+                          "bucket", {"n_docs": (None, "count_all"),
+                                     "total_chars": ("n_chars", "sum")})
 
     def finish(t: pa.Table) -> pa.Table:
         b = t["bucket"].to_pylist()
@@ -329,7 +295,7 @@ def q_term_stats(sf_dir: str, min_len: int = 7, k: int = 50) -> "ray.data.Datase
     log(n_docs/df) is one float away, computed client-side; keeping the
     operator integer-exact makes it oracle-hashable). Each doc is one
     row, so per-batch (term, doc) rows are globally distinct: df is a
-    Count and tf a Sum after ONE slim groupby.
+    count and tf a sum in ONE keyed aggregate.
     Columns: term, df, tf, n_docs."""
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
@@ -353,11 +319,8 @@ def q_term_stats(sf_dir: str, min_len: int = 7, k: int = 50) -> "ray.data.Datase
             "cnt": g["count_all"].cast(pa.int64()),
         })
 
-    agg = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Count(alias_name="df"), Sum("cnt", alias_name="tf"))
-    )
+    agg = keyed_aggregate(ds.map_batches(pairs, batch_format="pyarrow"),
+                          "term", {"df": (None, "count_all"), "tf": ("cnt", "sum")})
     def top_k(t: pa.Table) -> pa.Table:
         top = t.sort_by([("df", "descending"), ("term", "ascending")]).slice(0, k)
         return top.append_column(
@@ -481,7 +444,7 @@ def q_source_mixture(sf_dir: str) -> "ray.data.Dataset":
     needs NO global state.
 
     Two stages, canonical broadcast shape: (1) a slim distinct-source
-    pass (per-batch unique + tiny groupby) feeds the driver the handful
+    pass (one keyed count of the sources) feeds the driver the handful
     of sources, which builds the weight dict and ``ray.put``s it ONCE;
     (2) a stateless vectorized probe keeps/drops each row against the
     broadcast dict. At 100 TB the weights table is a few hundred rows —
@@ -492,15 +455,7 @@ def q_source_mixture(sf_dir: str) -> "ray.data.Dataset":
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "source"])
 
-    distinct = (
-        ds.map_batches(
-            lambda t: pa.table({"source": pa.array(
-                sorted(set(t["source"].to_pylist())), type=pa.string())}),
-            batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(Count(alias_name="n"))
-        .take_all()
-    )
+    distinct = keyed_aggregate(ds, "source", {"n": (None, "count_all")}).take_all()
     weights = {r["source"]: _mixture_weight_pct(r["source"]) for r in distinct}
     w_ref = ray.put(weights)
 
@@ -788,7 +743,6 @@ def q_snapshot_diff(sf_dir: str) -> "ray.data.Dataset":
     import hashlib as _hl
 
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max
 
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
@@ -811,10 +765,8 @@ def q_snapshot_diff(sf_dir: str) -> "ray.data.Dataset":
             "b_fp": pa.array(b_fp, type=pa.string()),
         })
 
-    agg = (ds.map_batches(emit_sides, batch_format="pyarrow")
-             .groupby("doc_id")
-             .aggregate(Max("a_fp", alias_name="a_fp"),
-                        Max("b_fp", alias_name="b_fp")))
+    agg = keyed_aggregate(ds.map_batches(emit_sides, batch_format="pyarrow"),
+                          "doc_id", {"a_fp": ("a_fp", "max"), "b_fp": ("b_fp", "max")})
 
     def classify(t: pa.Table) -> pa.Table:
         a = t["a_fp"]; b = t["b_fp"]

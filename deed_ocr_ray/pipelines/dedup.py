@@ -36,9 +36,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Max, Sum
 from ..sources.pages import read_pq
-from .exchange import keyed_join
+from .exchange import _nonempty, keyed_aggregate, keyed_join
 
 # ------------------------------------------------------------- exact dedup
 
@@ -53,9 +53,8 @@ def q_exact_dedup(sf_dir: str) -> "ray.data.Dataset":
         return pa.table({"fp": pa.array(hashes, type=pa.string()), "doc_id": t["doc_id"]})
 
     pairs = ds.map_batches(fp, batch_format="pyarrow")
-    return pairs.groupby("fp").aggregate(
-        Min("doc_id", alias_name="rep_doc_id"), Count(alias_name="n_copies")
-    )
+    return keyed_aggregate(pairs, "fp", {"rep_doc_id": ("doc_id", "min"),
+                                         "n_copies": (None, "count_all")})
 
 
 Q_EXACT_DEDUP_SQL = """
@@ -227,26 +226,9 @@ def _candidate_pairs(
     pairs = bands.groupby("part").map_groups(fn, batch_format="pandas")
     # a pair can surface from several bands -> exact dedup on the slim
     # pair rows; n_bands doubles as the overflow-bucket count for the
-    # (-1, size) sentinel keys. One coarse int-part exchange +
-    # in-partition Arrow group_by (Ray's sort-based Aggregate on the
-    # two-column key measured seconds of fixed cost per run).
-    def pair_part(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].combine_chunks()
-        b = t["doc_b"].combine_chunks()
-        pp = pc.cast(pc.bit_wise_and(
-            pc.add(pc.multiply(a, 1000003), b), 63), pa.int32())
-        return pa.table({"pp": pp, "doc_a": a, "doc_b": b})
-
-    def fold(g: pd.DataFrame) -> pa.Table:
-        gg = (pa.Table.from_pandas(g[["doc_a", "doc_b"]],
-                                   preserve_index=False)
-              .group_by(["doc_a", "doc_b"], use_threads=False)
-              .aggregate([([], "count_all")]))
-        return pa.table({"doc_a": gg["doc_a"], "doc_b": gg["doc_b"],
-                         "n_bands": gg["count_all"].cast(pa.int64())})
-
-    return (pairs.map_batches(pair_part, batch_format="pyarrow")
-            .groupby("pp").map_groups(fold, batch_format="pandas"))
+    # (-1, size) sentinel keys
+    return keyed_aggregate(pairs, ["doc_a", "doc_b"],
+                           {"n_bands": (None, "count_all")})
 
 
 def _est_jaccard_from_sigs(t: pa.Table) -> pa.Table:
@@ -610,28 +592,10 @@ def _simhash_candidates(
 
     exploded = ds.map_batches(_simhash_bands_fn, batch_format="pyarrow")
     cand = exploded.groupby("part").map_groups(pairs, batch_format="pandas")
-
-    # pair dedup via coarse int-part exchange + in-partition Arrow
-    # group_by (same rationale as _candidate_pairs)
-    def pair_part(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].combine_chunks()
-        b = t["doc_b"].combine_chunks()
-        pp = pc.cast(pc.bit_wise_and(
-            pc.add(pc.multiply(a, 1000003), b), 63), pa.int32())
-        return pa.table({"pp": pp, "doc_a": a, "doc_b": b,
-                         "hamming": t["hamming"].combine_chunks()})
-
-    def fold(g: pd.DataFrame) -> pa.Table:
-        gg = (pa.Table.from_pandas(g[["doc_a", "doc_b", "hamming"]],
-                                   preserve_index=False)
-              .group_by(["doc_a", "doc_b"], use_threads=False)
-              .aggregate([("hamming", "min"), ([], "count_all")]))
-        return pa.table({"doc_a": gg["doc_a"], "doc_b": gg["doc_b"],
-                         "hamming": gg["hamming_min"].cast(pa.int64()),
-                         "n_buckets": gg["count_all"].cast(pa.int64())})
-
-    return (cand.map_batches(pair_part, batch_format="pyarrow")
-            .groupby("pp").map_groups(fold, batch_format="pandas"))
+    # a pair can share several bands: dedup, keeping its min distance
+    return keyed_aggregate(cand, ["doc_a", "doc_b"],
+                           {"hamming": ("hamming", "min"),
+                            "n_buckets": (None, "count_all")})
 
 
 def q_simhash_near_pairs(
@@ -853,10 +817,13 @@ def q_neardup_clusters(
     min-label recurrence unrolled over the same artifact; component
     semantics additionally pytest-verified against an in-process
     union-find)."""
-    pairs = read_pq(minhash_pairs_ckpt_for(sf_dir, min_est),
-                    columns=["doc_a", "doc_b"]).materialize()
-    if pairs.count() == 0:
+    # the read can yield an empty block, which the next map would
+    # re-emit schema-less (a "different schema" warning): keep the rows
+    blocks = _nonempty(read_pq(minhash_pairs_ckpt_for(sf_dir, min_est),
+                               columns=["doc_a", "doc_b"]).materialize())
+    if not blocks:
         return ray.data.from_arrow(_EMPTY_CLUSTERS)
+    pairs = ray.data.from_arrow_refs(blocks)
 
     def symmetrize(t: pa.Table) -> pa.Table:
         a = t["doc_a"].combine_chunks()
@@ -870,7 +837,7 @@ def q_neardup_clusters(
     edges = pairs.map_batches(symmetrize, batch_format="pyarrow").materialize()
 
     # initial labels: each node's min neighbour (sweep 0 folded in)
-    labels = edges.groupby("node").aggregate(Min("nbr", alias_name="label"))
+    labels = keyed_aggregate(edges, "node", {"label": ("nbr", "min")})
     labels = labels.map_batches(
         lambda t: pa.table({
             "node": t["node"],
@@ -887,11 +854,8 @@ def q_neardup_clusters(
             batch_format="pyarrow",
         )
         # materialized once for the convergence sum and the next sweep
-        labels = (
-            labels.union(msgs)
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"))
-        ).materialize()
+        labels = keyed_aggregate(labels.union(msgs), "node",
+                                 {"label": ("label", "min")}).materialize()
         cur_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
         if cur_sum == prev_sum:  # monotone fixpoint reached
             break

@@ -12,10 +12,14 @@ contains — guaranteed because the partition id is a pure function of
 the key, identical in every worker process.
 
 This module owns that decision: the partition function, the exchange
-call (:func:`keyed_exchange`, :func:`part_exchange`) and the join built
-on it (:func:`keyed_join`, a co-partitioned merge of both sides in one
-exchange — no ``Dataset.join``, so no aggregator actors and none of its
-empty-block or plan-deadlock workarounds).
+call (:func:`keyed_exchange`, :func:`part_exchange`) and the two
+operators built on it: the join (:func:`keyed_join`, a co-partitioned
+merge of both sides in one exchange — no ``Dataset.join``, so no
+aggregator actors and none of its empty-block or plan-deadlock
+workarounds) and the grouped aggregate (:func:`keyed_aggregate`, an
+Arrow ``group_by`` combiner before the exchange and one refold after
+it — no Ray grouped aggregate, so no sampled sort and none of its
+schema-less empty blocks).
 """
 
 from __future__ import annotations
@@ -37,14 +41,25 @@ PARTS = 64
 
 def part_ids(col, parts: int) -> np.ndarray:
     """int32 partition id in ``[0, parts)`` for every key of an Arrow
-    (chunked) array. Null keys all go to part 0.
+    (chunked) array, or for every row of a multi-column key given as a
+    list of such arrays. A null (single-column) key goes to part 0.
 
     Integer keys use floor-mod (``np.mod``): non-negative for negative
     keys, and equal to ``key & (parts - 1)`` when ``parts`` is a power
     of two. Other keys (strings) use polars' hash with a fixed seed,
-    which is stable across worker processes for the pinned polars
-    build; builtin ``hash`` is randomized per process and MUST NOT pick
-    a partition that crosses workers."""
+    and multi-column keys polars' row hash, both stable across worker
+    processes for the pinned polars build; builtin ``hash`` is
+    randomized per process and MUST NOT pick a partition that crosses
+    workers."""
+    if isinstance(col, (list, tuple)):
+        if len(col) > 1:
+            import polars as pl
+
+            rows = pa.table([_plain(c) for c in col],
+                            names=[str(i) for i in range(len(col))])
+            return (pl.from_arrow(rows).hash_rows(seed=0).to_numpy()
+                    % parts).astype(np.int32)
+        col = col[0]
     a = _plain(col)
     if len(a) == 0:
         return np.empty(0, dtype=np.int32)
@@ -60,15 +75,15 @@ def part_ids(col, parts: int) -> np.ndarray:
 
 
 def keyed_exchange(ds: "ray.data.Dataset", key: str,
-                   fold: Callable, parts: int = PARTS) -> "ray.data.Dataset":
-    """Co-locate the rows of each ``key`` value in one of ``parts``
+                   fold: Callable) -> "ray.data.Dataset":
+    """Co-locate the rows of each ``key`` value in one of ``PARTS``
     partitions and apply ``fold`` (a pandas DataFrame -> Arrow table
     function) once per partition. The frame ``fold`` receives carries
     an extra int32 ``part`` column. Runs ``ds`` before returning, like
     :func:`part_exchange`."""
     def tag(t: pa.Table) -> pa.Table:
         return t.append_column(
-            "part", pa.array(part_ids(t[key], parts), type=pa.int32()))
+            "part", pa.array(part_ids(t[key], PARTS), type=pa.int32()))
 
     return part_exchange(ds.map_batches(tag, batch_format="pyarrow"), fold)
 
@@ -126,6 +141,77 @@ def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
     fold_parts.__name__ = fold.__name__  # names the operator in stats
     return _by_part(ds).map_batches(fold_parts, batch_size=None,
                                     batch_format="pyarrow")
+
+
+# how each aggregate function's partials refold after the exchange
+_REFOLD = {"sum": "sum", "count": "sum", "count_all": "sum",
+           "min": "min", "max": "max"}
+
+
+def _fixed_width(typ: pa.DataType) -> bool:
+    try:
+        typ.bit_width
+    except ValueError:
+        return False
+    return True
+
+
+def _widened(typ: pa.DataType) -> pa.DataType:
+    """The type Ray's grouped aggregate gives a key or a sum/min/max of
+    ``typ``: integers widen to int64, floats to float64."""
+    if pa.types.is_integer(typ):
+        return pa.int64()
+    if pa.types.is_floating(typ):
+        return pa.float64()
+    return typ
+
+
+def keyed_aggregate(ds: "ray.data.Dataset", keys,
+                    aggs: dict) -> "ray.data.Dataset":
+    """``GROUP BY keys`` over ``ds``: one output row per distinct key,
+    the key columns first, then one column per entry of ``aggs``.
+
+    ``keys`` is a column name or a list of names. ``aggs`` maps each
+    output name to ``(column, fn)``, ``fn`` one of ``sum``, ``count``
+    (non-null values of ``column``), ``count_all`` (rows; ``column`` is
+    ``None``), ``min`` or ``max``. Nulls are skipped, so a group whose
+    values are all null sums/mins to null; null keys form one group.
+    Keys and sums/mins/maxes of integers come out int64, of floats
+    float64, counts int64 — the types Ray's grouped aggregate gives.
+    Rows come out in no particular order (Ray's came sorted by key).
+
+    Plan: each batch folds to one row per key with an Arrow
+    ``group_by`` (the combiner: only distinct keys cross the exchange)
+    and is tagged with its key's part; one :func:`_by_part` range
+    exchange lands every key whole in one block; one Arrow ``group_by``
+    per block refolds the partials (counts and sums add, mins and maxes
+    fold again). Runs ``ds`` before returning; an empty input gives an
+    empty, untyped Dataset."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    names = list(aggs)
+
+    def group(t: pa.Table, specs: list) -> pa.Table:
+        # pyarrow 16 splits one null-key group into several when a
+        # variable-width key precedes a fixed-width one: group by the
+        # fixed-width keys first, then restore the order
+        by = sorted(keys, key=lambda k: not _fixed_width(t.schema.field(k).type))
+        g = t.group_by(by, use_threads=False).aggregate(specs)
+        return g.rename_columns(by + names).select(keys + names)
+
+    def combine(t: pa.Table) -> pa.Table:
+        g = group(t, [([] if col is None else col, fn) for col, fn in aggs.values()])
+        return g.append_column("part", pa.array(
+            part_ids([g[k] for k in keys], PARTS), type=pa.int32()))
+
+    refold = [(n, _REFOLD[fn]) for n, (_, fn) in zip(names, aggs.values())]
+
+    def fold(t: pa.Table) -> pa.Table:
+        g = group(t, refold)
+        return g.cast(pa.schema([(f.name, _widened(f.type)) for f in g.schema]))
+
+    tagged = ds.map_batches(combine, batch_format="pyarrow")
+    return _by_part(tagged).map_batches(fold, batch_size=None,
+                                        batch_format="pyarrow")
 
 
 @ray.remote

@@ -13,13 +13,13 @@ Shuffle-conscious shapes (these hold at 10^12 documents / 10^8 hosts):
   compiled module-level regexes, task pool (worker reuse keeps the
   regex cache warm; NOTES.md "actor-pool concurrency on short stages
   loses to task-pool"); only ``(url, html)`` columns leave the read.
-* **host_graph** pre-aggregates edges per batch (pandas groupby) before
-  the global ``groupby(src_host, dst_host)`` — the exchange carries
-  distinct host-pairs per block, not one row per anchor tag.
+* **host_graph** is one ``keyed_aggregate`` on ``(src_host, dst_host)``
+  — its per-batch combiner makes the exchange carry distinct
+  host-pairs per block, not one row per anchor tag.
 * **pagerank** iterates over HOST-cardinality tables only (ranks and
   edges, never documents): per iteration one ``exchange.keyed_join``
   of ranks to edges on ``src_host`` computes contributions and one
-  ``keyed_exchange`` on ``dst_host`` sums them; dangling mass comes
+  ``keyed_aggregate`` on ``dst_host`` sums them; dangling mass comes
   from one scalar aggregate of the host-sized sum table.
 """
 
@@ -34,11 +34,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Sum
 
 from ..functions.sniff import JUNK_REPLACEMENT_RATIO, decode_html
 from .corpus import pages_corpus_for
-from .exchange import keyed_exchange, keyed_join
+from .exchange import keyed_aggregate, keyed_exchange, keyed_join
 
 # whole <a> tag (attrs + body; nested <a> is invalid HTML, body is
 # non-greedy to the nearest close tag), then href / rel parsed from the
@@ -145,32 +144,12 @@ def q_outlinks(sf_dir: str) -> "ray.data.Dataset":
     return outlinks_dataset(read_pages(corpus, columns=["url", "html"]))
 
 
-def _edge_partial(t: pa.Table) -> pa.Table:
-    df = pd.DataFrame({
-        "src_host": t["src_host"].to_pandas(),
-        "dst_host": t["dst_host"].to_pandas(),
-    })
-    cnt = (
-        df.groupby(["src_host", "dst_host"], sort=False)
-        .size()
-        .reset_index(name="n_links")
-    )
-    return pa.table({
-        "src_host": pa.array(cnt["src_host"].tolist(), type=pa.string()),
-        "dst_host": pa.array(cnt["dst_host"].tolist(), type=pa.string()),
-        "n_links": pa.array(cnt["n_links"].to_numpy(), type=pa.int64()),
-    })
-
-
 def host_graph_dataset(links: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Weighted host→host edge list from an outlinks Dataset. Per-batch
-    combiner first: the groupby exchange moves distinct host-pairs per
-    block, never one row per anchor."""
-    return (
-        links.map_batches(_edge_partial, batch_format="pyarrow")
-        .groupby(["src_host", "dst_host"])
-        .aggregate(Sum("n_links", alias_name="n_links"))
-    )
+    """Weighted host→host edge list from an outlinks Dataset: one keyed
+    count, whose combiner moves distinct host-pairs per block, never
+    one row per anchor."""
+    return keyed_aggregate(links, ["src_host", "dst_host"],
+                           {"n_links": (None, "count_all")})
 
 
 def q_host_graph(sf_dir: str) -> "ray.data.Dataset":
@@ -204,16 +183,9 @@ def q_host_degree(sf_dir: str) -> "ray.data.Dataset":
     degrees and total link weights.
     Columns: host, out_deg, in_deg, out_links, in_links."""
     edges = q_host_graph(sf_dir)
-    return (
-        edges.map_batches(_degree_rows, batch_format="pyarrow")
-        .groupby("host")
-        .aggregate(
-            Sum("out_deg", alias_name="out_deg"),
-            Sum("in_deg", alias_name="in_deg"),
-            Sum("out_links", alias_name="out_links"),
-            Sum("in_links", alias_name="in_links"),
-        )
-    )
+    return keyed_aggregate(
+        edges.map_batches(_degree_rows, batch_format="pyarrow"), "host",
+        {c: (c, "sum") for c in ("out_deg", "in_deg", "out_links", "in_links")})
 
 
 # ------------------------------------------------------- DuckDB oracles
@@ -365,8 +337,7 @@ def pagerank_dataset(
     ``keyed_exchange`` on ``src_host``. Each iteration keeps the ranks
     as S(h), with rank(h) = a·S(h) + b: one ``keyed_join`` of S to the
     edges on ``src_host`` gives the contributions p·rank(src), and one
-    ``keyed_exchange`` on ``dst_host`` sums them (Arrow ``group_by``)
-    into the next S. Hosts with no in-links have no S row; the
+    ``keyed_aggregate`` on ``dst_host`` sums them into the next S. Hosts with no in-links have no S row; the
     ``left outer`` joins read their S as 0. One scalar ΣS gives the
     dangling mass (Σ_dst S = Σ_{src with out-edges} rank, so dangling =
     1 − ΣS), and rank'(h) = (1−d)/N + d·(S(h) + dangling/N) sets the
@@ -417,11 +388,6 @@ def pagerank_dataset(
         # hosts without in-links have no S row: S = 0
         return pc.add(pc.multiply(pc.fill_null(t["s"], 0.0), a), b)
 
-    def _sum_s(g: pd.DataFrame) -> pa.Table:
-        t = (pa.Table.from_pandas(g[["host", "s"]], preserve_index=False)
-             .group_by("host", use_threads=False).aggregate([("s", "sum")]))
-        return pa.table({"host": t["host"], "s": t["s_sum"]})
-
     for _ in range(n_iter):
         def _contrib(t: pa.Table, a: float = a, b: float = b) -> pa.Table:
             return pa.table({"host": t["dst_host"],
@@ -429,8 +395,8 @@ def pagerank_dataset(
 
         contrib = keyed_join(edges_p, sums, "src_host", right_on="host",
                              how="left outer")
-        sums = keyed_exchange(contrib.map_batches(_contrib, batch_format="pyarrow"),
-                              "host", _sum_s).materialize()
+        sums = keyed_aggregate(contrib.map_batches(_contrib, batch_format="pyarrow"),
+                               "host", {"s": ("s", "sum")}).materialize()
         dangling = max(0.0, 1.0 - (sums.sum("s") or 0.0))
         a, b = damping, (1.0 - damping) / n_hosts + damping * dangling / n_hosts
 
@@ -530,27 +496,17 @@ FROM r{n_iter}
 def q_anchor_terms(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
     """Top-``k`` EXTERNAL anchor texts per destination host — the
     classic "anchor text describes the target" retrieval signal.
-    Per-batch combiner shrinks the exchange to distinct (dst_host,
-    anchor) pairs per block; the per-host top-k is a per-key
+    A keyed (dst_host, anchor) count, whose combiner shrinks the
+    exchange to distinct pairs per block; the per-host top-k is a per-key
     ``map_groups`` (host cardinality; coarse-partition at 10^8 hosts).
     Deterministic tie-break (cnt desc, anchor asc).
     Columns: dst_host, anchor, cnt, rk."""
     links = q_outlinks(sf_dir)
 
-    def partial(t: pa.Table) -> pa.Table:
-        mask = pc.invert(t["internal"])
-        df = pd.DataFrame({
-            "dst_host": pc.filter(t["dst_host"], mask).to_pandas(),
-            "anchor": pc.filter(t["anchor"], mask).to_pandas(),
-        })
-        df = df[df["anchor"] != ""]
-        cnt = (df.groupby(["dst_host", "anchor"], sort=False)
-               .size().reset_index(name="cnt"))
-        return pa.table({
-            "dst_host": pa.array(cnt["dst_host"].tolist(), type=pa.string()),
-            "anchor": pa.array(cnt["anchor"].tolist(), type=pa.string()),
-            "cnt": pa.array(cnt["cnt"].to_numpy(), type=pa.int64()),
-        })
+    def external(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.and_(pc.invert(t["internal"]),
+                             pc.not_equal(t["anchor"], "")))
+        return t.select(["dst_host", "anchor"])
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["cnt", "anchor"], ascending=[False, True]).head(k)
@@ -559,9 +515,8 @@ def q_anchor_terms(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
         return g
 
     return (
-        links.map_batches(partial, batch_format="pyarrow")
-        .groupby(["dst_host", "anchor"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
+        keyed_aggregate(links.map_batches(external, batch_format="pyarrow"),
+                        ["dst_host", "anchor"], {"cnt": (None, "count_all")})
         .groupby("dst_host")
         .map_groups(topk, batch_format="pandas")
     )

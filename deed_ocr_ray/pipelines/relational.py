@@ -31,9 +31,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Sum
 from ..sources.pages import read_pq
-from .exchange import keyed_exchange, keyed_join
+from .exchange import keyed_aggregate, keyed_join
 
 
 def _cents(arr: pa.ChunkedArray) -> pa.ChunkedArray:
@@ -55,30 +55,22 @@ def q1_pricing_summary(sf_dir: str) -> "ray.data.Dataset":
                  "l_extendedprice", "l_discount"],
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        base_c = _cents(t["l_extendedprice"])
+    def cents(t: pa.Table) -> pa.Table:
         disc_price = pc.multiply(t["l_extendedprice"],
                                  pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        disc_c = _cents(pa.chunked_array([disc_price]) if isinstance(disc_price, pa.Array) else disc_price)
-        t2 = pa.table({
+        return pa.table({
             "l_returnflag": t["l_returnflag"],
             "l_linestatus": t["l_linestatus"],
             "qty": t["l_quantity"],
-            "base_c": base_c,
-            "disc_c": disc_c,
+            "base_c": _cents(t["l_extendedprice"]),
+            "disc_c": _cents(disc_price),
         })
-        g = t2.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("base_c", "sum"), ("disc_c", "sum"), ("qty", "count")]
-        )
-        return g
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("qty_sum", alias_name="sum_qty"),
-        Sum("base_c_sum", alias_name="base_cents"),
-        Sum("disc_c_sum", alias_name="disc_cents"),
-        Sum("qty_count", alias_name="count_order"),
-    )
+    agg = keyed_aggregate(
+        ds.map_batches(cents, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        {"sum_qty": ("qty", "sum"), "base_cents": ("base_c", "sum"),
+         "disc_cents": ("disc_c", "sum"), "count_order": ("qty", "count")})
 
     def finalize(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -287,15 +279,9 @@ def q_mktsegment_orders(
                 ["c_custkey", "c_mktsegment"], "c_custkey"),
         cutoff=cutoff)
 
-    def seg_partial(t: pa.Table) -> pa.Table:
-        return (t.select(["c_mktsegment", "price_c"])
-                .group_by("c_mktsegment")
-                .aggregate([("price_c", "sum"), ("price_c", "count")]))
-
-    agg2 = (joined.map_batches(seg_partial, batch_format="pyarrow")
-            .groupby("c_mktsegment")
-            .aggregate(Sum("price_c_sum", alias_name="cents"),
-                       Sum("price_c_count", alias_name="n_orders")))
+    agg2 = keyed_aggregate(joined, "c_mktsegment",
+                           {"cents": ("price_c", "sum"),
+                            "n_orders": ("price_c", "count")})
     return agg2.map_batches(
         lambda t: pa.table({
             "c_mktsegment": t["c_mktsegment"],
@@ -350,15 +336,9 @@ def q_nation_revenue(
                 ["c_custkey", "c_nationkey"], "c_custkey", cust_nation),
         cutoff=cutoff)
 
-    def nation_partial(t: pa.Table) -> pa.Table:
-        return (t.select(["n_name", "price_c"])
-                .group_by("n_name")
-                .aggregate([("price_c", "sum"), ("price_c", "count")]))
-
-    agg2 = (joined.map_batches(nation_partial, batch_format="pyarrow")
-            .groupby("n_name")
-            .aggregate(Sum("price_c_sum", alias_name="cents"),
-                       Sum("price_c_count", alias_name="n_orders")))
+    agg2 = keyed_aggregate(joined, "n_name",
+                           {"cents": ("price_c", "sum"),
+                            "n_orders": ("price_c", "count")})
     return agg2.map_batches(
         lambda t: pa.table({
             "n_name": t["n_name"],
@@ -390,26 +370,18 @@ def q_events_hourly(sf_dir: str) -> "ray.data.Dataset":
     ds = read_pq(f"{sf_dir}/events.parquet",
                                columns=["event_type", "ts", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(t["ts"], unit="hour").cast(pa.timestamp("us"))
-        t2 = pa.table({
+    def hours(t: pa.Table) -> pa.Table:
+        return pa.table({
             "event_type": t["event_type"],
-            "window_start": hour,
+            "window_start": pc.floor_temporal(t["ts"], unit="hour")
+                              .cast(pa.timestamp("us")),
             "value_c": _cents(t["value"]),
         })
-        return t2.group_by(["event_type", "window_start"]).aggregate(
-            [("value_c", "sum"), ("value_c", "count")]
-        )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby(["event_type", "window_start"]).aggregate(
-        Sum("value_c_sum", alias_name="sum_value_c"),
-        Sum("value_c_count", alias_name="n_events"),
-    )
-    return agg.map_batches(
-        lambda t: t.select(["event_type", "window_start", "n_events", "sum_value_c"]),
-        batch_format="pyarrow",
-    )
+    return keyed_aggregate(ds.map_batches(hours, batch_format="pyarrow"),
+                           ["event_type", "window_start"],
+                           {"n_events": ("value_c", "count"),
+                            "sum_value_c": ("value_c", "sum")})
 
 
 Q_EVENTS_SQL = """
@@ -422,20 +394,20 @@ FROM events GROUP BY 1, 2
 
 
 def q_lang_source_stats(sf_dir: str) -> pd.DataFrame:
-    """Grouped counts + two-stage distinct count (Ray Data has no
-    count-distinct aggregate: distinct via groupby-of-groupby).
+    """Grouped counts + two-stage distinct count (no count-distinct
+    aggregate: distinct (lang, source) pairs first, carrying their doc
+    and char counts, then one row per lang).
 
     Columns: lang, n_docs, n_sources, sum_chars.
     """
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["lang", "source", "n_chars"])
-    per_lang = ds.groupby("lang").aggregate(
-        Count(alias_name="n_docs"), Sum("n_chars", alias_name="sum_chars")
-    ).to_pandas()
-    pairs = ds.groupby(["lang", "source"]).aggregate(Count(alias_name="n"))
-    n_sources = pairs.groupby("lang").aggregate(Count(alias_name="n_sources")).to_pandas()
-    out = per_lang.merge(n_sources, on="lang")
-    return out[["lang", "n_docs", "n_sources", "sum_chars"]].sort_values("lang").reset_index(drop=True)
+    pairs = keyed_aggregate(ds, ["lang", "source"],
+                            {"n": (None, "count_all"), "chars": ("n_chars", "sum")})
+    out = keyed_aggregate(pairs, "lang", {"n_docs": ("n", "sum"),
+                                          "n_sources": ("source", "count"),
+                                          "sum_chars": ("chars", "sum")}).to_pandas()
+    return out.sort_values("lang").reset_index(drop=True)
 
 
 Q_LANG_SOURCE_SQL = """
@@ -528,24 +500,9 @@ def q_region_part_revenue(
                 ["s_suppkey", "s_nationkey"], "s_suppkey", supp_region),
         cutoff=cutoff)
 
-    def region_partial(t: pa.Table) -> pa.Table:
-        return (t.select(["r_name", "p_type", "rev_sum", "rev_count"])
-                .group_by(["r_name", "p_type"])
-                .aggregate([("rev_sum", "sum"), ("rev_count", "sum")]))
-
-    agg = (j2.map_batches(region_partial, batch_format="pyarrow")
-           .groupby(["r_name", "p_type"])
-           .aggregate(Sum("rev_sum_sum", alias_name="revenue_cents"),
-                      Sum("rev_count_sum", alias_name="n_items")))
-    return agg.map_batches(
-        lambda t: pa.table({
-            "r_name": t["r_name"],
-            "p_type": t["p_type"],
-            "n_items": t["n_items"].cast(pa.int64()),
-            "revenue_cents": t["revenue_cents"].cast(pa.int64()),
-        }),
-        batch_format="pyarrow",
-    )
+    return keyed_aggregate(j2, ["r_name", "p_type"],
+                           {"n_items": ("rev_count", "sum"),
+                            "revenue_cents": ("rev_sum", "sum")})
 
 
 Q_REGION_PART_SQL = """
@@ -627,46 +584,20 @@ def q3_shipping_priority(
                         o_seg, "l_orderkey", right_on="o_orderkey")
 
     # final rollup is by the INT orderkey only (date/priority are
-    # functionally dependent — carried as group min), summed with
-    # Arrow group_by kernels behind a coarse int-part exchange: Ray's
-    # sort-based Aggregate on the 3-column (int, ts, string) key
-    # measured seconds per block (the top_parts_per_nation pathology),
-    # and the global sort+limit collapses to a per-partition top-k
-    # combiner + one tiny final partition.
-    def order_partial(t: pa.Table) -> pa.Table:
-        g = (t.select(["l_orderkey", "o_orderdate", "o_orderpriority", "rev"])
-             .group_by(["l_orderkey"], use_threads=False)
-             .aggregate([("rev", "sum"), ("o_orderdate", "min"),
-                         ("o_orderpriority", "min")]))
-        return pa.table({
-            "l_orderkey": g["l_orderkey"],
-            "o_orderdate": g["o_orderdate_min"],
-            "o_orderpriority": g["o_orderpriority_min"],
-            "rev": g["rev_sum"].cast(pa.int64()),
-        })
+    # functionally dependent — carried as group min); every orderkey
+    # lands whole in one block, so the global sort+limit collapses to a
+    # per-block top-k + one sort of the candidates.
+    agg = keyed_aggregate(joined, "l_orderkey",
+                          {"o_orderdate": ("o_orderdate", "min"),
+                           "o_orderpriority": ("o_orderpriority", "min"),
+                           "revenue_cents": ("rev", "sum")})
 
-    def local_topk(g: "pd.DataFrame") -> pa.Table:
-        t = (pa.Table.from_pandas(
-                g[["l_orderkey", "o_orderdate", "o_orderpriority", "rev"]],
-                preserve_index=False)
-             .group_by(["l_orderkey"], use_threads=False)
-             .aggregate([("rev", "sum"), ("o_orderdate", "min"),
-                         ("o_orderpriority", "min")]))
-        d = t.to_pandas().sort_values(
-            ["rev_sum", "o_orderdate_min", "l_orderkey"],
-            ascending=[False, True, True]).head(k)
-        return pa.table({
-            "l_orderkey": pa.array(d["l_orderkey"].to_numpy(), type=pa.int64()),
-            "o_orderdate": pa.Array.from_pandas(d["o_orderdate_min"],
-                                                type=pa.timestamp("us")),
-            "o_orderpriority": pa.array(d["o_orderpriority_min"],
-                                        type=pa.string()),
-            "revenue_cents": pa.array(d["rev_sum"].to_numpy(), type=pa.int64()),
-        })
+    def local_topk(t: pa.Table) -> pa.Table:
+        return t.sort_by([("revenue_cents", "descending"),
+                          ("o_orderdate", "ascending"),
+                          ("l_orderkey", "ascending")]).slice(0, k)
 
-    cand = keyed_exchange(
-        joined.map_batches(order_partial, batch_format="pyarrow"),
-        "l_orderkey", local_topk, parts=16)
+    cand = agg.map_batches(local_topk, batch_size=None, batch_format="pyarrow")
     return cand.sort(["revenue_cents", "o_orderdate", "l_orderkey"],
                      descending=[True, False, False]).limit(k)
 
@@ -692,41 +623,22 @@ Q3_SHIPPING_SQL = q3_sql()
 
 
 def q_daily_active_users(sf_dir: str) -> "ray.data.Dataset":
-    """Exact distinct-count: daily active users + event counts. The
-    distinct is pre-shrunk per batch ((day, user) dedup inside the map)
-    so the shuffle carries unique pairs, then a per-day group counts
-    them (day cardinality is small, so per-key map_groups is fine).
-    Columns: day, dau, n_events."""
+    """Exact distinct-count: daily active users + event counts. A keyed
+    (day, user) count makes the pairs unique, then a keyed count per
+    day counts them. Columns: day, dau, n_events."""
     import pandas as pd
 
     ds = read_pq(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
 
-    def pairs(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "day": pd.Series(t["ts"].to_pandas()).dt.strftime("%Y-%m-%d"),
-            "user_id": t["user_id"].to_pandas(),
-        })
-        g = df.groupby(["day", "user_id"], sort=False).size().reset_index(name="n")
-        return pa.table({
-            "day": pa.array(g["day"], type=pa.string()),
-            "user_id": pa.array(g["user_id"], type=pa.int64()),
-            "n": pa.array(g["n"], type=pa.int64()),
-        })
+    def days(t: pa.Table) -> pa.Table:
+        day = pd.Series(t["ts"].to_pandas()).dt.strftime("%Y-%m-%d")
+        return pa.table({"day": pa.array(day, type=pa.string()),
+                         "user_id": t["user_id"]})
 
-    uniq = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby(["day", "user_id"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-    def per_day(g: "pd.DataFrame") -> pa.Table:
-        return pa.table({
-            "day": pa.array([g["day"].iloc[0]], type=pa.string()),
-            "dau": pa.array([g["user_id"].nunique()], type=pa.int64()),
-            "n_events": pa.array([int(g["n"].sum())], type=pa.int64()),
-        })
-
-    return uniq.groupby("day").map_groups(per_day, batch_format="pandas")
+    uniq = keyed_aggregate(ds.map_batches(days, batch_format="pyarrow"),
+                           ["day", "user_id"], {"n": (None, "count_all")})
+    return keyed_aggregate(uniq, "day", {"dau": ("user_id", "count"),
+                                         "n_events": ("n", "sum")})
 
 
 Q_DAU_SQL = """
@@ -741,22 +653,21 @@ def q_top_parts_per_nation(
     sf_dir: str, k: int = 3, cutoff: int = BROADCAST_ROWS_CUTOFF,
 ) -> "ray.data.Dataset":
     """Grouped top-k: each supplier nation's top-``k`` parts by revenue.
-    Size-dispatched supplier⋈nation lookup + pre-aggregated (n_name, partkey) partials
-    shrink the shuffle; the per-nation top-k runs per key (25 nations —
-    per-key ``map_groups`` is fine at that cardinality; coarse-partition
-    for high-cardinality keys). Deterministic tie-break (revenue desc,
-    partkey asc). Columns: n_name, l_partkey, revenue_cents, rk."""
-    import numpy as np
+    Size-dispatched supplier⋈nation lookup, one keyed aggregate on
+    (nationkey, partkey), a per-block top-k per nation (every key lands
+    whole in one block) and one tiny final top-k over the candidates.
+    Deterministic tie-break (revenue desc, partkey asc).
+    Columns: n_name, l_partkey, revenue_cents, rk."""
     import pandas as pd
 
     # nation is constant-25-rows: folded in at the very END (the
-    # shuffle key stays a single int64); supplier SCALES with sf ->
+    # shuffle key stays ints); supplier SCALES with sf ->
     # size-dispatched attach_dim
     nname = _nation_name_map(sf_dir)
 
     def supp_nation(t: pa.Table) -> pa.Table:
         return pa.table({"s_suppkey": t["s_suppkey"],
-                         "s_nationkey": t["s_nationkey"].cast(pa.int64())})
+                         "nat": t["s_nationkey"].cast(pa.int64())})
 
     joined = attach_dim(
         _lineitem_slim(sf_dir), "l_suppkey",
@@ -764,46 +675,17 @@ def q_top_parts_per_nation(
                 ["s_suppkey", "s_nationkey"], "s_suppkey", supp_nation),
         cutoff=cutoff)
 
-    # Ray's sort-based Aggregate on a (string, int) key measured ~1.3 s
-    # PER 9k-row BLOCK here; pack (nationkey, partkey) into ONE int64
-    # and do all summing with Arrow group_by kernels instead — the
-    # shuffle moves a single int column and never sorts strings.
-    # nationkey < 25, so a 40-bit partkey field leaves headroom to
-    # ~10^12 parts (TPC-H partkey = 200k x SF -> fine past SF 10^6).
-    def nation_partial(t: pa.Table) -> pa.Table:
-        key = pc.bit_wise_or(
-            pc.shift_left(t["s_nationkey"].combine_chunks().cast(pa.int64()), 40),
-            t["l_partkey"].combine_chunks().cast(pa.int64()))
-        g = (pa.table({"key": key, "rev": t["rev"]})
-             .group_by(["key"], use_threads=False)
-             .aggregate([("rev", "sum")]))
-        return pa.table({"key": g["key"], "rev": g["rev_sum"].cast(pa.int64())})
+    agg = keyed_aggregate(joined, ["nat", "l_partkey"],
+                          {"revenue_cents": ("rev", "sum")})
 
-    partials = joined.map_batches(nation_partial, batch_format="pyarrow")
+    def local_topk(t: pa.Table) -> pa.Table:
+        # a tiny candidate superset: <= 25*k rows leave each block
+        df = t.to_pandas().sort_values(["nat", "revenue_cents", "l_partkey"],
+                                       ascending=[True, False, True])
+        return pa.Table.from_pandas(df.groupby("nat", sort=False).head(k),
+                                    schema=t.schema, preserve_index=False)
 
-    def local_topk(g: pd.DataFrame) -> pa.Table:
-        # in-partition sums ARE global (copies of a key co-locate);
-        # per-nation top-k here is a tiny candidate superset — <= 25*k
-        # rows leave each partition, the classic top-k combiner
-        t = (pa.Table.from_pandas(g[["key", "rev"]], preserve_index=False)
-             .group_by(["key"], use_threads=False)
-             .aggregate([("rev", "sum")]))
-        key = t["key"].to_numpy(zero_copy_only=False)
-        rev = t["rev_sum"].to_numpy(zero_copy_only=False)
-        nat, prt = key >> 40, key & ((1 << 40) - 1)
-        df = pd.DataFrame({"nat": nat, "l_partkey": prt,
-                           "revenue_cents": rev})
-        df = df.sort_values(["nat", "revenue_cents", "l_partkey"],
-                            ascending=[True, False, True])
-        df = df.groupby("nat", sort=False).head(k)
-        return pa.table({
-            "nat": pa.array(df["nat"].to_numpy(), type=pa.int64()),
-            "l_partkey": pa.array(df["l_partkey"].to_numpy(), type=pa.int64()),
-            "revenue_cents": pa.array(df["revenue_cents"].to_numpy(),
-                                      type=pa.int64()),
-        })
-
-    cand = keyed_exchange(partials, "key", local_topk, parts=16)
+    cand = agg.map_batches(local_topk, batch_size=None, batch_format="pyarrow")
 
     def final_topk(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:

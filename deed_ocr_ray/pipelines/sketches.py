@@ -30,8 +30,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
-from ray.data.aggregate import Sum
 from ..sources.pages import read_pq
+from .exchange import keyed_aggregate
 
 # ----------------------------------------------------------- bloom core
 
@@ -188,14 +188,10 @@ def q_bloom_semijoin(sf_dir: str, thr: float = SEMI_PRICE_THR) -> "ray.data.Data
             "cents": pa.array(agg["cents"].to_numpy(), type=pa.int64()),
         })
 
-    return (
-        survivors.union(build)
-        .groupby("part")
-        .map_groups(verify_agg, batch_format="pandas")
-        .groupby("l_returnflag")
-        .aggregate(Sum("n_items", alias_name="n_items"),
-                   Sum("cents", alias_name="cents"))
-    )
+    return keyed_aggregate(
+        survivors.union(build).groupby("part")
+        .map_groups(verify_agg, batch_format="pandas"),
+        "l_returnflag", {"n_items": ("n_items", "sum"), "cents": ("cents", "sum")})
 
 
 def bloom_semijoin_sql(thr: float = SEMI_PRICE_THR) -> str:

@@ -24,6 +24,7 @@ import ray.data
 from ..functions.normalize import normalize_text
 from ..functions.stopwords import STOPWORDS
 from ..sources.pages import read_pq
+from .exchange import keyed_aggregate
 
 _PUNCT_RE = re.compile(r"[.!?,;:]")
 _LANGS = sorted(STOPWORDS)  # deterministic candidate order
@@ -410,31 +411,20 @@ Q_FINGERPRINT_ROLLING_SQL = fingerprint_rolling_sql()
 
 
 def q_top_terms(sf_dir: str, k: int = 20) -> "ray.data.Dataset":
-    """Global top-k terms by count — the canonical pre-aggregated
-    wordcount: per-batch Counter (combiner) shrinks the shuffle to
-    distinct terms per block before the groupby. Deterministic
-    tie-break (cnt desc, term asc). Columns: term, cnt."""
-    from ray.data.aggregate import Sum
-
+    """Global top-k terms by count — the canonical wordcount: one
+    keyed aggregate, whose per-batch combiner shrinks the shuffle to
+    distinct terms per block. Deterministic tie-break (cnt desc, term
+    asc). Columns: term, cnt."""
     ds = read_pq(f"{sf_dir}/documents.parquet", columns=["text"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def terms(t: pa.Table) -> pa.Table:
         from ..functions import tokens as tk
 
         flat, _ = tk.explode_ws(t["text"])
-        g = (pa.table({"term": flat.cast(pa.string())})
-             .group_by(["term"], use_threads=False)
-             .aggregate([([], "count_all")]))
-        return pa.table({
-            "term": g["term"],
-            "cnt": g["count_all"].cast(pa.int64()),
-        })
+        return pa.table({"term": flat.cast(pa.string())})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-    )
+    agg = keyed_aggregate(ds.map_batches(terms, batch_format="pyarrow"),
+                          "term", {"cnt": (None, "count_all")})
     return agg.sort(["cnt", "term"], descending=[True, False]).limit(k)
 
 
@@ -597,13 +587,10 @@ def q_posting_pairs(sf_dir: str, min_len: int = 6) -> "ray.data.Dataset":
     """Inverted-index posting pairs: distinct (term, doc_id) for long
     terms (length >= ``min_len`` bounds the vocabulary; default 6
     so the sf testdata contributes several distinct terms, not just
-    its lone 8-char word). Per-batch
-    distinct shrinks the exchange to unique pairs per block before the
-    global distinct groupby — the index-build shuffle shape (at scale,
-    write the groupby output partitioned by term hash for serving).
-    Columns: term, doc_id."""
-    from ray.data.aggregate import Count
-
+    its lone 8-char word). The keyed aggregate's per-batch combiner
+    shrinks the exchange to unique pairs per block — the index-build
+    shuffle shape (at scale, write the output partitioned by term hash
+    for serving). Columns: term, doc_id."""
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
 
@@ -614,18 +601,11 @@ def q_posting_pairs(sf_dir: str, min_len: int = 6) -> "ray.data.Dataset":
         keep = pc.greater_equal(pc.utf8_length(flat), min_len)
         flat, parent = flat.filter(keep), parent.filter(keep)
         dids = pc.take(t["doc_id"].combine_chunks(), parent)
-        # per-batch distinct (the combiner shrinking the exchange)
-        g = (pa.table({"term": flat.cast(pa.string()),
-                       "doc_id": dids.cast(pa.int64())})
-             .group_by(["term", "doc_id"], use_threads=False)
-             .aggregate([]))
-        return g
+        return pa.table({"term": flat.cast(pa.string()),
+                         "doc_id": dids.cast(pa.int64())})
 
-    uniq = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby(["term", "doc_id"])
-        .aggregate(Count(alias_name="n"))
-    )
+    uniq = keyed_aggregate(ds.map_batches(pairs, batch_format="pyarrow"),
+                           ["term", "doc_id"], {"n": (None, "count_all")})
     return uniq.drop_columns(["n"])
 
 
@@ -645,34 +625,22 @@ Q_POSTING_PAIRS_SQL = posting_pairs_sql()
 
 def q_bigram_counts(sf_dir: str, k: int = 50) -> "ray.data.Dataset":
     """Top-``k`` word bigrams by count — the n-gram LM count table (the
-    training-data analogue of wordcount one order up). Per-batch
-    Counter combiner shrinks the shuffle to distinct bigrams per block;
-    deterministic tie-break (cnt desc, bigram asc).
+    training-data analogue of wordcount one order up), one keyed
+    aggregate; deterministic tie-break (cnt desc, bigram asc).
     Columns: bigram, cnt."""
-    from ray.data.aggregate import Sum
-
     ds = read_pq(f"{sf_dir}/documents.parquet", columns=["text"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def bigrams(t: pa.Table) -> pa.Table:
         from ..functions import tokens as tk
 
         # split() tokenization; a blank row trims to one empty token,
         # which yields zero 2-windows — exactly split()'s no-bigrams
         toks = pc.utf8_split_whitespace(pc.utf8_trim_whitespace(tk._plain(t["text"])))
         _, _, bg = tk.ngram_windows_from_tokens(toks, 2)
-        g = (pa.table({"bigram": bg.cast(pa.string())})
-             .group_by(["bigram"], use_threads=False)
-             .aggregate([([], "count_all")]))
-        return pa.table({
-            "bigram": g["bigram"],
-            "cnt": g["count_all"].cast(pa.int64()),
-        })
+        return pa.table({"bigram": bg.cast(pa.string())})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bigram")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-    )
+    agg = keyed_aggregate(ds.map_batches(bigrams, batch_format="pyarrow"),
+                          "bigram", {"cnt": (None, "count_all")})
     return agg.sort(["cnt", "bigram"], descending=[True, False]).limit(k)
 
 
@@ -780,8 +748,6 @@ def q_canon_dedup(sf_dir: str) -> "ray.data.Dataset":
     canonicalization — the composition this operator demonstrates.
     Only (canon_url, doc_id) crosses the shuffle.
     Columns: canon_url, rep_doc_id, n_dupes."""
-    from ray.data.aggregate import Count, Min
-
     from ..functions.urlnorm import canonicalize_url
 
     ds = read_pq(f"{sf_dir}/documents.parquet",
@@ -809,9 +775,9 @@ def q_canon_dedup(sf_dir: str) -> "ray.data.Dataset":
         })
 
     pairs = ds.map_batches(canon, batch_format="pyarrow")
-    return pairs.groupby("canon_url").aggregate(
-        Min("doc_id", alias_name="rep_doc_id"), Count(alias_name="n_dupes")
-    )
+    return keyed_aggregate(pairs, "canon_url",
+                           {"rep_doc_id": ("doc_id", "min"),
+                            "n_dupes": (None, "count_all")})
 
 
 Q_CANON_DEDUP_SQL = r"""
@@ -867,19 +833,18 @@ def q_vocab_ids(sf_dir: str) -> "ray.data.Dataset":
     """Global DENSE vocabulary-id assignment: every distinct token gets
     a consecutive id ordered by (count desc, term asc) — the
     tokenizer-vocab builder, and the engine's global ordered
-    ENUMERATION primitive (zipWithIndex). Distributed shape: per-batch
-    Arrow group_by combiner → slim (term, n) groupby → global sort → two-pass
+    ENUMERATION primitive (zipWithIndex). Distributed shape: keyed
+    (term, n) aggregate → global sort → two-pass
     enumeration (per-block row counts land on the driver — one row per
     BLOCK, bounded — and each block stamps ``offset + arange`` without
     another exchange; the pack_windows prefix-sum trick).
     Columns: term, n, vocab_id."""
     import numpy as np
-    from ray.data.aggregate import Sum
 
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["text"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def terms(t: pa.Table) -> pa.Table:
         # single-space split of trimmed text: identical to the oracle's
         # string_split(trim(text), ' ') (the remove_dup_ngrams contract);
         # empty/blank docs contribute nothing (the `if s` guard) — drop
@@ -889,17 +854,10 @@ def q_vocab_ids(sf_dir: str) -> "ray.data.Dataset":
         trimmed = pc.utf8_trim_whitespace(tk._plain(t["text"]))
         nonblank = trimmed.filter(pc.not_equal(trimmed, ""))
         flat = tk._plain(pc.list_flatten(pc.split_pattern(nonblank, " ")))
-        g = (pa.table({"term": flat.cast(pa.string())})
-             .group_by(["term"], use_threads=False)
-             .aggregate([([], "count_all")]))
-        return pa.table({
-            "term": g["term"],
-            "n": g["count_all"].cast(pa.int64()),
-        })
+        return pa.table({"term": flat.cast(pa.string())})
 
-    ordered = (ds.map_batches(partial, batch_format="pyarrow")
-               .groupby("term")
-               .aggregate(Sum("n", alias_name="n"))
+    ordered = (keyed_aggregate(ds.map_batches(terms, batch_format="pyarrow"),
+                               "term", {"n": (None, "count_all")})
                .sort(["n", "term"], descending=[True, False])
                .materialize())  # both passes need identical blocks
 

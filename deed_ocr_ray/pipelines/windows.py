@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 from ..sources.pages import read_pq
-from .exchange import keyed_exchange, keyed_join
+from .exchange import keyed_aggregate, keyed_exchange, keyed_join
 
 
 def _counts_upto(lk: np.ndarray, lp: np.ndarray, rk: np.ndarray,
@@ -386,17 +386,11 @@ def q_price_quantiles(sf_dir: str) -> "ray.data.Dataset":
             "n_orders": pa.array([r[3] for r in rows], type=pa.int64()),
         })
 
-    from ray.data.aggregate import Count
-
-    # pre-aggregate to the slim (priority, cents, n) histogram FIRST —
+    # aggregate to the slim (priority, cents, n) histogram FIRST —
     # only distinct price points cross the exchange, and the final
-    # quantile pass is one small single-partition map (never an empty
-    # hash partition, so no schemaless-RefBundle warnings)
-    hist = (
-        ds.map_batches(cents, batch_format="pyarrow")
-        .groupby(["o_orderpriority", "cents"])
-        .aggregate(Count(alias_name="n"))
-    )
+    # quantile pass is one small single-partition map
+    hist = keyed_aggregate(ds.map_batches(cents, batch_format="pyarrow"),
+                           ["o_orderpriority", "cents"], {"n": (None, "count_all")})
     return hist.repartition(1).map_batches(
         quants, batch_format="pyarrow", batch_size=None
     )
@@ -657,12 +651,11 @@ def q_event_transitions(sf_dir: str) -> "ray.data.Dataset":
     exchange on ``user_id`` co-locates each user's events;
     inside the partition the per-user LEAD is one vectorized shift over
     the (user_id, ts, event_id)-sorted frame (NO per-user loop), and a
-    pandas crosstab folds the partition's pairs so only
-    |event_types|² × partitions slim rows reach the final groupby.
+    keyed aggregate counts the (src, dst) pairs; its combiner folds
+    each partition's pairs, so only |event_types|² × partitions slim
+    rows cross its exchange.
     Columns: src, dst, n.
     """
-    from ray.data.aggregate import Sum
-
     ds = read_pq(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"],
@@ -678,19 +671,11 @@ def q_event_transitions(sf_dir: str) -> "ray.data.Dataset":
             same[-1] = False
         src = et[:-1][same[:-1]] if len(g) else et[:0]
         dst = et[1:][same[:-1]] if len(g) else et[:0]
-        pairs = pd.DataFrame({"src": src, "dst": dst})
-        cnt = pairs.groupby(["src", "dst"], sort=True).size().reset_index(name="n")
-        return pa.table({
-            "src": pa.array(cnt["src"].tolist(), type=pa.string()),
-            "dst": pa.array(cnt["dst"].tolist(), type=pa.string()),
-            "n": pa.array(cnt["n"].to_numpy().astype(np.int64), type=pa.int64()),
-        })
+        return pa.table({"src": pa.array(src.tolist(), type=pa.string()),
+                         "dst": pa.array(dst.tolist(), type=pa.string())})
 
-    return (
-        keyed_exchange(ds, "user_id", transitions)
-        .groupby(["src", "dst"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    return keyed_aggregate(keyed_exchange(ds, "user_id", transitions),
+                           ["src", "dst"], {"n": (None, "count_all")})
 
 
 Q_EVENT_TRANSITIONS_SQL = """
@@ -710,14 +695,13 @@ FROM s WHERE nxt IS NOT NULL GROUP BY 1, 2
 def q_customer_ltv(sf_dir: str) -> "ray.data.Dataset":
     """Customer lifetime value with zero-fill — the LEFT OUTER join
     shape (anti-join keeps only the misses; this keeps BOTH sides).
-    The fact table is pre-aggregated per batch then per key, so the
-    join's right side is one slim row per purchasing customer: the
-    shuffle moves |customers-with-orders| rows, never |orders|.
+    The fact table is aggregated per customer first (one keyed
+    aggregate), so the join's right side is one slim row per
+    purchasing customer.
     Money stays integer cents until the end. Columns: c_custkey,
     c_name, n_orders, ltv_cents.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     cust = read_pq(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
@@ -726,38 +710,17 @@ def q_customer_ltv(sf_dir: str) -> "ray.data.Dataset":
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(
-            pc.round(pc.multiply(t["o_totalprice"], 100.0),
-                     round_mode="half_towards_infinity"),
-            pa.int64(),
-        )
-        g = (pa.table({"o_custkey": t["o_custkey"].combine_chunks()
-                       .cast(pa.int64()), "cents": cents})
-             .group_by(["o_custkey"], use_threads=False)
-             .aggregate([("cents", "sum"), ([], "count_all")]))
+    def cents(t: pa.Table) -> pa.Table:
         return pa.table({
-            "o_custkey": g["o_custkey"],
-            "n_orders": g["count_all"].cast(pa.int64()),
-            "cents": g["cents_sum"].cast(pa.int64()),
+            "o_custkey": t["o_custkey"],
+            "cents": pc.cast(pc.round(pc.multiply(t["o_totalprice"], 100.0),
+                                      round_mode="half_towards_infinity"),
+                             pa.int64()),
         })
 
-    def fold(g: pd.DataFrame) -> pa.Table:
-        # copies of a custkey co-locate, so the in-partition sums are
-        # global (Arrow kernels — Ray's sort-based Aggregate measured
-        # seconds per block on this shape)
-        t = (pa.Table.from_pandas(g[["o_custkey", "n_orders", "cents"]],
-                                  preserve_index=False)
-             .group_by(["o_custkey"], use_threads=False)
-             .aggregate([("n_orders", "sum"), ("cents", "sum")]))
-        return pa.table({
-            "o_custkey": t["o_custkey"].combine_chunks().cast(pa.int64()),
-            "n_orders": t["n_orders_sum"].cast(pa.int64()),
-            "cents": t["cents_sum"].cast(pa.int64()),
-        })
-
-    agg = keyed_exchange(orders.map_batches(partial, batch_format="pyarrow"),
-                         "o_custkey", fold, parts=16)
+    agg = keyed_aggregate(orders.map_batches(cents, batch_format="pyarrow"),
+                          "o_custkey", {"n_orders": (None, "count_all"),
+                                        "cents": ("cents", "sum")})
     joined = keyed_join(cust, agg, "c_custkey", right_on="o_custkey",
                         how="left outer")
 

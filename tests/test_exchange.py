@@ -69,19 +69,39 @@ def test_part_ids_string_colocates():
 
 def test_part_ids_string_stable_across_processes():
     """Every string shuffle relies on ids that do not depend on the
-    process: a fresh interpreter with another hash seed agrees."""
+    process: a fresh interpreter with another hash seed agrees, for
+    string keys and for (string, int) multi-column keys."""
     keys = [f"host{i}.example/{i * 7919}" for i in range(200)] + ["", "é", "x y"]
-    want = part_ids(pa.array(keys), 64).tolist()
+    nums = [i % 7 if i % 13 else None for i in range(len(keys))]
+    want = [part_ids(pa.array(keys), 64).tolist(),
+            part_ids([pa.array(keys), pa.array(nums, type=pa.int64())], 64).tolist()]
     code = ("import json, sys; import pyarrow as pa; "
             "from deed_ocr_ray.pipelines.exchange import part_ids; "
-            "print(json.dumps(part_ids(pa.array(json.loads(sys.argv[1])), 64).tolist()))")
+            "k, n = json.loads(sys.argv[1]); "
+            "print(json.dumps([part_ids(pa.array(k), 64).tolist(), "
+            "part_ids([pa.array(k), pa.array(n, type=pa.int64())], 64).tolist()]))")
     env = dict(os.environ, PYTHONHASHSEED="12345",
                PYTHONPATH=REPO + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(keys)],
+    out = subprocess.run([sys.executable, "-c", code, json.dumps([keys, nums])],
                          capture_output=True, text=True, check=True,
                          cwd=REPO, env=env, timeout=120)
     assert json.loads(out.stdout.strip().splitlines()[-1]) == want
-    assert len(set(want)) > 1
+    assert all(len(set(w)) > 1 for w in want)
+
+
+def test_part_ids_multi_column():
+    """A multi-column key co-locates equal rows (null parts included),
+    and a one-column list gives the single-column ids."""
+    a = pa.array(["x", "y", "x", None, "x", None])
+    b = pa.array([1, 1, 1, 2, 2, 2], type=pa.int64())
+    p = part_ids([a, b], 16)
+    assert p.dtype == np.int32 and ((0 <= p) & (p < 16)).all()
+    assert p[0] == p[2] and p[3] == p[5]
+    ch = [pa.chunked_array([a[:2], a[2:]]), pa.chunked_array([b[:3], b[3:]])]
+    assert part_ids(ch, 16).tolist() == p.tolist()
+    assert part_ids([a], 16).tolist() == part_ids(a, 16).tolist()
+    assert part_ids([b], 16).tolist() == part_ids(b, 16).tolist()
+    assert part_ids([a[:0], b[:0]], 16).tolist() == []
 
 
 def test_keyed_exchange_hot_key(ray_session, schema_warnings):
@@ -104,7 +124,7 @@ def test_keyed_exchange_hot_key(ray_session, schema_warnings):
         return pa.table({"k": pa.array(vc.index.to_numpy(), type=pa.int64()),
                          "n": pa.array(vc.to_numpy(), type=pa.int64())})
 
-    out = keyed_exchange(ds, "k", fold, parts=16).materialize()
+    out = keyed_exchange(ds, "k", fold).materialize()
     rows = [m.num_rows for b in out.iter_internal_ref_bundles() for _, m in b.blocks]
     assert min(rows) > 0  # Ray's sampled groupby leaves 7 of these 8 empty
     df = out.to_pandas()
@@ -242,3 +262,113 @@ def test_keyed_join_untyped_empty_side(ray_session):
     assert keyed_join(_blocks(left, 2), untyped, "k", right_on="rk").count() == 0
     with pytest.raises(ValueError, match="untyped"):
         keyed_join(_blocks(left, 2), untyped, "k", right_on="rk", how="left outer")
+
+
+# ------------------------------------------------------- keyed_aggregate
+
+_AGGS = {"s": ("v", "sum"), "c": ("v", "count"), "n": (None, "count_all"),
+         "lo": ("v", "min"), "hi": ("v", "max")}
+
+
+def _agg_input(keys):
+    """600 rows whose keys include nulls and whose ``v`` values include
+    nulls, plus a group whose values are all null."""
+    import datetime
+
+    rng = np.random.default_rng(3)
+    n = 600
+    k1 = [None if i % 37 == 0 else int(x) for i, x in enumerate(rng.integers(-5, 20, n))]
+    v = [None if i % 7 == 0 else int(x) for i, x in enumerate(rng.integers(-50, 50, n))]
+    cols = {"k1": pa.array(k1 + [99, 99], type=pa.int64()),
+            "k2": pa.array([f"s{x}" for x in rng.integers(0, 4, n)] + ["z", "z"]),
+            "ts": pa.array([datetime.datetime(2024, 1, 1, int(h))
+                            for h in rng.integers(0, 6, n)] + [None, None],
+                           type=pa.timestamp("us")),
+            "v": pa.array(v + [None, None], type=pa.int64())}
+    return pa.table({**{k: cols[k] for k in keys}, "v": cols["v"]})
+
+
+@pytest.mark.parametrize("keys", [["k1"], ["k2", "k1"], ["ts"]], ids="+".join)
+def test_keyed_aggregate_matches_arrow(ray_session, keys):
+    """sum/count/count_all/min/max per key equal a single-process Arrow
+    ``group_by``: nulls are skipped (an all-null group sums to null),
+    ``count`` counts values and ``count_all`` rows, null keys form one
+    group; keys come first, then the aggregates in order."""
+    from deed_ocr_ray.pipelines.exchange import keyed_aggregate
+
+    t = _agg_input(keys)
+    # the reference groups by the int key first: pyarrow 16 splits a
+    # null-key group when a string key precedes a fixed-width one
+    by = sorted(keys, key=lambda k: k == "k2")
+    want = (t.group_by(by, use_threads=False)
+            .aggregate([([] if c is None else c, fn) for c, fn in _AGGS.values()])
+            .rename_columns(by + list(_AGGS)).select(keys + list(_AGGS)))
+    got = keyed_aggregate(_blocks(t, 6), keys if len(keys) > 1 else keys[0], _AGGS)
+    assert got.schema().base_schema == want.schema
+    assert _rows(got) == _rows(want)
+    rows = got.take_all()
+    assert len(rows) == len(set(zip(*[t[k].to_pylist() for k in keys])))
+    assert any(r["c"] < r["n"] for r in rows)  # count skips null values
+    assert any(r["s"] is None and r["n"] == 2 for r in rows)  # all-null group
+    assert sum(all(r[k] is None for k in keys) for r in rows) == (keys != ["k2", "k1"])
+
+
+def test_keyed_aggregate_types_match_ray(ray_session):
+    """On int32/float32 columns the output types (and values) equal
+    Ray's grouped aggregate: keys and sums/mins/maxes widen to int64
+    and float64, counts are int64."""
+    from ray.data.aggregate import Count, Max, Min, Sum
+
+    from deed_ocr_ray.pipelines.exchange import keyed_aggregate
+
+    rng = np.random.default_rng(5)
+    t = pa.table({"k": pa.array(rng.integers(0, 9, 300), type=pa.int32()),
+                  "v": pa.array(rng.integers(-9, 9, 300), type=pa.int32()),
+                  "f": pa.array(rng.random(300), type=pa.float32())})
+    ds = _blocks(t, 4)
+    want = ds.groupby("k").aggregate(
+        Sum("v", alias_name="s"), Count("v", ignore_nulls=True, alias_name="c"),
+        Count(alias_name="n"), Min("v", alias_name="lo"), Max("f", alias_name="hi"),
+        Sum("f", alias_name="sf"))
+    got = keyed_aggregate(ds, "k", {**_AGGS, "hi": ("f", "max"), "sf": ("f", "sum")})
+    assert got.schema().base_schema == want.schema().base_schema
+    assert got.schema().names == ["k", "s", "c", "n", "lo", "hi", "sf"]
+    g = got.to_pandas().sort_values("k").reset_index(drop=True)
+    w = want.to_pandas().sort_values("k").reset_index(drop=True)
+    assert g.drop(columns="sf").equals(w.drop(columns="sf"))
+    assert np.allclose(g["sf"], w["sf"])  # float sums may differ in order
+
+
+def test_keyed_aggregate_hot_key(ray_session, schema_warnings):
+    """One key holds 90% of the rows: the output has no empty block, a
+    map over it logs no schema warning, and every key counts right."""
+    import collections
+
+    from deed_ocr_ray.pipelines.exchange import keyed_aggregate
+
+    keys = np.r_[np.zeros(900, dtype=np.int64), np.arange(1, 101, dtype=np.int64)]
+    np.random.default_rng(0).shuffle(keys)
+    out = keyed_aggregate(_blocks(pa.table({"k": keys}), 8), "k",
+                          {"n": (None, "count_all")}).materialize()
+    rows = [m.num_rows for b in out.iter_internal_ref_bundles() for _, m in b.blocks]
+    assert min(rows) > 0
+    mapped = out.map_batches(lambda t: t.append_column("m", pc.add(t["n"], 1)),
+                             batch_format="pyarrow").to_pandas()
+    assert sorted(zip(mapped["k"], mapped["n"])) == sorted(
+        collections.Counter(keys.tolist()).items())
+    assert schema_warnings == []
+
+
+@pytest.mark.parametrize("untyped", [False, True], ids=["typed", "untyped"])
+def test_keyed_aggregate_empty_input(ray_session, untyped):
+    """Empty input gives an empty Dataset. Like Ray's grouped aggregate,
+    it has no schema — also when the input was typed."""
+    from deed_ocr_ray.pipelines.exchange import keyed_aggregate
+
+    ds = _blocks(_agg_input(["k1"]).slice(0, 0), 2)
+    if untyped:
+        ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
+        assert ds.materialize().schema() is None
+    out = keyed_aggregate(ds, "k1", _AGGS)
+    assert out.count() == 0
+    assert out.take_all() == []
