@@ -31,7 +31,7 @@ import pyarrow.compute as pc
 import ray.data
 from ..sources.pages import read_pq
 from .exchange import (PARTS, keyed_aggregate, keyed_exchange, keyed_join,
-                       part_exchange, part_ids)
+                       ordered_offsets, part_exchange, part_ids)
 
 
 # ------------------------------------- duplicate n-gram span coverage
@@ -696,13 +696,12 @@ NTILE_K = 10
 def q_price_deciles(sf_dir: str, k: int = NTILE_K) -> "ray.data.Dataset":
     """NTILE(k) decile summary of order totals — equal-count buckets
     over a GLOBAL order, the missing window shape after rank/lag/
-    running-sum. Global rank comes from the [[q_pack_windows]] two-pass
-    prefix-sum: sort the slim (cents, o_orderkey) table, ship only
-    per-block (first_key, n_rows) summaries to the driver, broadcast
-    exclusive row offsets, then assign exact 1-based global row numbers
-    block-locally and fold them with one keyed aggregate on the decile
-    — the full ranked table never re-shuffles; its combiner sends only
-    k × blocks partial rows across the exchange.
+    running-sum. Global row numbers come from
+    :func:`exchange.ordered_offsets` over the slim (cents, o_orderkey)
+    table (one sort, per-block row counts folded on the driver) and
+    fold with one keyed aggregate on the decile — the full ranked table
+    never re-shuffles; its combiner sends only k × blocks partial rows
+    across the exchange.
 
     NTILE semantics match SQL exactly: with n rows, the first n % k
     buckets get ceil(n/k) rows. Money stays in integer cents
@@ -723,39 +722,12 @@ def q_price_deciles(sf_dir: str, k: int = NTILE_K) -> "ray.data.Dataset":
         )
         return pa.table({"cents": cents, "o_orderkey": t["o_orderkey"]})
 
-    slim = (ds.map_batches(to_cents, batch_format="pyarrow")
-            .sort(["cents", "o_orderkey"]).materialize())
-
-    def summarize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"cents": pa.array([], type=pa.int64()),
-                             "okey": pa.array([], type=pa.int64()),
-                             "rows": pa.array([], type=pa.int64())})
-        return pa.table({
-            "cents": pa.array([t["cents"][0].as_py()], type=pa.int64()),
-            "okey": pa.array([t["o_orderkey"][0].as_py()], type=pa.int64()),
-            "rows": pa.array([t.num_rows], type=pa.int64()),
-        })
-
-    summaries = sorted(
-        ((r["cents"], r["okey"]), r["rows"])
-        for r in slim.map_batches(summarize, batch_size=None,
-                                  batch_format="pyarrow").take_all()
-    )
-    offsets = {}
-    acc = 0
-    for key, rows in summaries:
-        offsets[key] = acc
-        acc += rows
-    total = acc
-    off_ref = ray.put(offsets)
+    ranked = ordered_offsets(ds.map_batches(to_cents, batch_format="pyarrow"),
+                             ["cents", "o_orderkey"], "rn")
+    total = ranked.count()
 
     def deciles(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"decile": pa.array([], type=pa.int64()),
-                             "cents": pa.array([], type=pa.int64())})
-        off = ray.get(off_ref)[(t["cents"][0].as_py(), t["o_orderkey"][0].as_py())]
-        rn = off + np.arange(1, t.num_rows + 1, dtype=np.int64)  # 1-based
+        rn = t["rn"].to_numpy() + 1  # 1-based
         q, r = divmod(total, k)
         # SQL NTILE: first r buckets hold q+1 rows each
         cut = r * (q + 1)
@@ -768,7 +740,7 @@ def q_price_deciles(sf_dir: str, k: int = NTILE_K) -> "ray.data.Dataset":
                          "cents": t["cents"]})
 
     return keyed_aggregate(
-        slim.map_batches(deciles, batch_size=None, batch_format="pyarrow"),
+        ranked.map_batches(deciles, batch_size=None, batch_format="pyarrow"),
         "decile", {"n": (None, "count_all"), "min_cents": ("cents", "min"),
                    "max_cents": ("cents", "max"), "sum_cents": ("cents", "sum")})
 

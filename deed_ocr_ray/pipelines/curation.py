@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 from ..sources.pages import read_pq
-from .exchange import keyed_aggregate
+from .exchange import keyed_aggregate, ordered_offsets
 
 # ------------------------------------------------- stratified hash split
 
@@ -501,12 +501,11 @@ def q_token_budget(sf_dir: str, budget: int = TOKEN_BUDGET) -> "ray.data.Dataset
     quality signal of [[q_quality_score]] — and kept while the running
     token total (ws tokens, inclusive) stays within ``budget``.
 
-    The global prefix sum follows the [[q_pack_windows]] two-pass
-    shape: sort the SLIM (doc_id, words, punct_ppm) table (text never
-    leaves the first stage), send only per-block (first_key, total)
-    summaries to the driver, broadcast the exclusive block offsets, and
-    emit exact per-row cumulative totals block-locally. No stage holds
-    more than a block; the driver sees one tiny row per block.
+    The global prefix sum is :func:`exchange.ordered_offsets` over the
+    SLIM (doc_id, words, punct_ppm) table (text never leaves the first
+    stage): one sort, per-block word totals folded on the driver, exact
+    per-row running totals stamped block-locally, then a filter. No
+    stage holds more than a block; the driver sees one number per block.
     Columns: doc_id, words, punct_ppm, cum_tokens.
     """
 
@@ -529,56 +528,17 @@ def q_token_budget(sf_dir: str, budget: int = TOKEN_BUDGET) -> "ray.data.Dataset
             "punct_ppm": pa.array(ppm, type=pa.int64()),
         })
 
-    slim = (ds.map_batches(measure, batch_format="pyarrow")
-            .sort(["punct_ppm", "doc_id"]).materialize())
+    ranked = ordered_offsets(ds.map_batches(measure, batch_format="pyarrow"),
+                             ["punct_ppm", "doc_id"], "cum_tokens", weight="words")
 
-    def summarize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"ppm": pa.array([], type=pa.int64()),
-                             "did": pa.array([], type=pa.int64()),
-                             "total": pa.array([], type=pa.int64())})
-        return pa.table({
-            "ppm": pa.array([t["punct_ppm"][0].as_py()], type=pa.int64()),
-            "did": pa.array([t["doc_id"][0].as_py()], type=pa.int64()),
-            "total": pa.array([int(pa.compute.sum(t["words"]).as_py() or 0)],
-                              type=pa.int64()),
-        })
+    def within_budget(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
 
-    summaries = sorted(
-        ((r["ppm"], r["did"]), r["total"])
-        for r in slim.map_batches(summarize, batch_size=None,
-                                  batch_format="pyarrow").take_all()
-    )
-    offsets = {}
-    acc = 0
-    for key, total in summaries:
-        offsets[key] = acc
-        acc += total
-    off_ref = ray.put(offsets)
+        # the running total includes each doc's own words
+        t = t.set_column(3, "cum_tokens", pc.add(t["cum_tokens"], t["words"]))
+        return t.filter(pc.less_equal(t["cum_tokens"], budget))
 
-    def emit(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "doc_id": pa.array([], type=pa.int64()),
-            "words": pa.array([], type=pa.int64()),
-            "punct_ppm": pa.array([], type=pa.int64()),
-            "cum_tokens": pa.array([], type=pa.int64()),
-        })
-        if t.num_rows == 0:
-            return empty
-        off = ray.get(off_ref)[(t["punct_ppm"][0].as_py(), t["doc_id"][0].as_py())]
-        w = t["words"].to_numpy()
-        cum = off + np.cumsum(w)
-        keep = cum <= budget
-        if not keep.any():
-            return empty
-        return pa.table({
-            "doc_id": pa.array(t["doc_id"].to_numpy()[keep], type=pa.int64()),
-            "words": pa.array(w[keep], type=pa.int64()),
-            "punct_ppm": pa.array(t["punct_ppm"].to_numpy()[keep], type=pa.int64()),
-            "cum_tokens": pa.array(cum[keep], type=pa.int64()),
-        })
-
-    return slim.map_batches(emit, batch_size=None, batch_format="pyarrow")
+    return ranked.map_batches(within_budget, batch_size=None, batch_format="pyarrow")
 
 
 def token_budget_sql(budget: int = TOKEN_BUDGET) -> str:

@@ -20,6 +20,13 @@ workarounds) and the grouped aggregate (:func:`keyed_aggregate`, an
 Arrow ``group_by`` combiner before the exchange and one refold after
 it — no Ray grouped aggregate, so no sampled sort and none of its
 schema-less empty blocks).
+
+One global operation is ordered rather than keyed: numbering or
+running-summing rows in a total order (SQL ``ROW_NUMBER`` /
+``SUM OVER (ORDER BY ...)``, Spark's ``zipWithIndex``).
+:func:`ordered_offsets` does it with one sort and block offsets folded
+on the driver — every window packing, global rank and token budget
+goes through it.
 """
 
 from __future__ import annotations
@@ -93,10 +100,16 @@ def _parts_in(block: pa.Table) -> np.ndarray:
     return np.unique(block["part"].to_numpy())
 
 
-def _nonempty(ds: "ray.data.MaterializedDataset") -> list:
-    """Refs of the blocks of ``ds`` that hold rows."""
-    return [ref for b in ds.iter_internal_ref_bundles()
+def _block_rows(ds: "ray.data.MaterializedDataset") -> list:
+    """``(ref, row count)`` of the blocks of ``ds`` that hold rows, in
+    block order."""
+    return [(ref, meta.num_rows) for b in ds.iter_internal_ref_bundles()
             for ref, meta in b.blocks if meta.num_rows]
+
+
+def _nonempty(ds: "ray.data.MaterializedDataset") -> list:
+    """Refs of the blocks of ``ds`` that hold rows, in block order."""
+    return [ref for ref, _ in _block_rows(ds)]
 
 
 def _by_part(ds: "ray.data.Dataset", ranges: int = 0) -> "ray.data.Dataset":
@@ -293,3 +306,61 @@ def keyed_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
     # map task that yields nothing emits a schema-less block as well)
     refs = _nonempty(joined)
     return ray.data.from_arrow_refs(refs) if refs else ray.data.from_arrow(out)
+
+
+@ray.remote
+def _weight_sum(block: pa.Table, weight: str) -> int:
+    return int(pc.sum(block[weight]).as_py() or 0)
+
+
+@ray.remote
+def _stamp(block: pa.Table, column: str, start: int, weight) -> pa.Table:
+    """``block`` with an int64 ``column``: ``start`` plus the exclusive
+    running sum of ``weight`` (of 1 per row when ``weight`` is None)."""
+    w = (np.ones(block.num_rows, dtype=np.int64) if weight is None
+         else block[weight].fill_null(0).to_numpy().astype(np.int64))
+    return block.append_column(
+        column, pa.array(start + np.cumsum(w) - w, type=pa.int64()))
+
+
+def ordered_offsets(ds: "ray.data.Dataset", by, column: str, *,
+                    descending=False, weight: str | None = None
+                    ) -> "ray.data.Dataset":
+    """``ds`` sorted by ``by`` (a column name or a list of names;
+    ``descending`` a bool or one per name, as in ``Dataset.sort``) with
+    an int64 ``column`` appended: each row's exclusive running sum of
+    the integer column ``weight`` in that order, or its 0-based row
+    number when ``weight`` is None — SQL's ``SUM(weight) OVER (ORDER BY
+    by ROWS UNBOUNDED PRECEDING) - weight`` and ``ROW_NUMBER() - 1``.
+    Null weights count 0. Ties in ``by`` are numbered in an arbitrary
+    order, so callers pass a total order.
+
+    Plan: one sort, materialized once. Its blocks come out in sort
+    order, so their place in the global order is their block index:
+    per-block totals (row counts from block metadata, or one small
+    ``sum(weight)`` task per block) fold into exclusive block offsets
+    on the driver, and one plain task per non-empty block stamps
+    ``offset + running sum``. No row crosses a second exchange and only
+    one number per block reaches the driver.
+
+    Runs ``ds`` before returning. The output is materialized (its
+    ``count()`` is free) and has no empty block. An empty output is one
+    empty block with the input's schema plus ``column`` (Ray's sort
+    drops the schema of empty output, so the input runs once more for
+    it), or untyped when the input is."""
+    ordered = ds.sort(by, descending=descending).materialize()
+    blocks = _block_rows(ordered)
+    if not blocks:
+        # Ray's sort leaves no schema on empty output: take the input's
+        schema = ds.schema()
+        if schema is None:
+            return ordered
+        return ray.data.from_arrow(
+            schema.base_schema.append(pa.field(column, pa.int64())).empty_table())
+    refs = [ref for ref, _ in blocks]
+    totals = ([rows for _, rows in blocks] if weight is None
+              else ray.get([_weight_sum.remote(ref, weight) for ref in refs]))
+    starts = np.cumsum([0] + totals[:-1]).tolist()
+    return ray.data.from_arrow_refs(
+        [_stamp.remote(ref, column, start, weight)
+         for ref, start in zip(refs, starts)])

@@ -3,13 +3,12 @@
 Training-data operators built on patterns Ray Data has no primitive for:
 
 * ``q_pack_windows`` — greedy contiguous packing of documents into
-  fixed-size token windows, i.e. a GLOBAL running sum. Implemented as
-  the classic two-pass distributed prefix sum: (1) one cheap pass
-  computes per-block token totals, (2) the driver folds them into
-  per-block starting offsets (a few hundred numbers — no shuffle), and
-  (3) a second pass emits exact global offsets per row from the
-  broadcast offsets. Requires a deterministic row order: rows are
-  ordered by ``doc_id`` via a range sort first.
+  fixed-size token windows, i.e. a GLOBAL running sum of token counts
+  in ``doc_id`` order: :func:`exchange.ordered_offsets` (one sort, one
+  number per block folded on the driver, no second exchange) gives
+  every doc its start token; the window id is that over the window
+  size. ``q_seeded_shuffle`` and ``q_interleave_sources`` number rows
+  in a total order the same way.
 
 * ``q_kmeans`` — Lloyd's iterations driver-orchestrated over
   ``map_batches``: centroids are broadcast each round, every block emits
@@ -20,15 +19,30 @@ Training-data operators built on patterns Ray Data has no primitive for:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List
 
 import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
 from ..sources.pages import read_pq
+from .exchange import keyed_aggregate, ordered_offsets
 
 WINDOW_TOKENS = 512
+
+
+def pack_tokens(ds: "ray.data.Dataset", by) -> "ray.data.Dataset":
+    """``ds`` (with an int64 ``n_tokens`` column) packed in ``by`` order
+    into WINDOW_TOKENS-token windows: appends each row's global token
+    start offset ``start_tok`` and ``window_id = start_tok //
+    WINDOW_TOKENS`` (contiguous-fill semantics)."""
+    packed = ordered_offsets(ds, by, "start_tok", weight="n_tokens")
+
+    def window(t: pa.Table) -> pa.Table:
+        return t.append_column("window_id", pa.array(
+            t["start_tok"].to_numpy() // WINDOW_TOKENS, type=pa.int64()))
+
+    return packed.map_batches(window, batch_size=None, batch_format="pyarrow")
 
 
 def q_pack_windows(sf_dir: str) -> "ray.data.Dataset":
@@ -45,57 +59,9 @@ def q_pack_windows(sf_dir: str) -> "ray.data.Dataset":
             "n_tokens": pa.array(toks, type=pa.int64()),
         })
 
-    # materialize the SLIM (doc_id, n_tokens) table so both passes see
-    # identical block boundaries (sort sampling is not guaranteed to
-    # reproduce boundaries across executions); the heavy text column
-    # never leaves pass 0.
-    counted = ds.map_batches(count, batch_format="pyarrow").sort("doc_id").materialize()
-
-    # pass 1: per-block (first_doc_id, token_total) summaries — only
-    # these tiny pairs reach the driver, data stays in the object store.
-    def summarize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"first_id": pa.array([], type=pa.int64()),
-                             "total": pa.array([], type=pa.int64())})
-        return pa.table({
-            "first_id": pa.array([t.column("doc_id")[0].as_py()], type=pa.int64()),
-            "total": pa.array(
-                [int(pa.compute.sum(t.column("n_tokens")).as_py() or 0)],
-                type=pa.int64()),
-        })
-
-    summaries = sorted(
-        (r["first_id"], r["total"])
-        for r in counted.map_batches(summarize, batch_size=None,
-                                     batch_format="pyarrow").take_all()
-    )
-    offsets: Dict[int, int] = {}
-    acc = 0
-    for first_id, total in summaries:
-        offsets[first_id] = acc
-        acc += total
-    off_ref = ray.put(offsets)
-
-    # pass 2: exact global offsets per row from the broadcast prefix
-    def emit(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({
-                "doc_id": pa.array([], type=pa.int64()),
-                "n_tokens": pa.array([], type=pa.int64()),
-                "start_tok": pa.array([], type=pa.int64()),
-                "window_id": pa.array([], type=pa.int64()),
-            })
-        off = ray.get(off_ref)[t.column("doc_id")[0].as_py()]
-        n = t.column("n_tokens").to_numpy()
-        starts = off + np.concatenate(([0], np.cumsum(n)[:-1])).astype(np.int64)
-        return pa.table({
-            "doc_id": t.column("doc_id"),
-            "n_tokens": t.column("n_tokens"),
-            "start_tok": pa.array(starts, type=pa.int64()),
-            "window_id": pa.array(starts // WINDOW_TOKENS, type=pa.int64()),
-        })
-
-    return counted.map_batches(emit, batch_size=None, batch_format="pyarrow")
+    # only the slim (doc_id, n_tokens) rows enter the sort; the heavy
+    # text column never leaves the first map
+    return pack_tokens(ds.map_batches(count, batch_format="pyarrow"), "doc_id")
 
 
 Q_PACK_WINDOWS_SQL = rf"""
@@ -278,9 +244,8 @@ def q_seeded_shuffle(sf_dir: str, seed: int = SHUFFLE_SEED) -> "ray.data.Dataset
 
     Scale shape: only the slim (doc_id, 32-byte key) rows enter the
     range sort — the one unavoidable all-to-all, identical in cost to
-    any global shuffle — then positions come from the `pack_windows`
-    two-pass prefix trick: per-block counts fold on the driver (a few
-    hundred ints) and broadcast back as block offsets; no second
+    any global shuffle — and :func:`exchange.ordered_offsets` numbers
+    them from per-block counts folded on the driver; no second
     shuffle, no row data through the driver.
     Columns: doc_id, shuffle_key, pos.
     """
@@ -296,49 +261,8 @@ def q_seeded_shuffle(sf_dir: str, seed: int = SHUFFLE_SEED) -> "ray.data.Dataset
             "shuffle_key": pa.array(keys, type=pa.string()),
         })
 
-    # materialize so both passes see identical block boundaries (the
-    # pack_windows convention — sort sampling is not reproducible).
-    keyed = (ds.map_batches(key, batch_format="pyarrow")
-               .sort(["shuffle_key", "doc_id"]).materialize())
-
-    def summarize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"first_key": pa.array([], type=pa.string()),
-                             "first_id": pa.array([], type=pa.int64()),
-                             "cnt": pa.array([], type=pa.int64())})
-        return pa.table({
-            "first_key": pa.array([t.column("shuffle_key")[0].as_py()], type=pa.string()),
-            "first_id": pa.array([t.column("doc_id")[0].as_py()], type=pa.int64()),
-            "cnt": pa.array([t.num_rows], type=pa.int64()),
-        })
-
-    summaries = sorted(
-        ((r["first_key"], r["first_id"]), r["cnt"])
-        for r in keyed.map_batches(summarize, batch_size=None,
-                                   batch_format="pyarrow").take_all()
-    )
-    offsets: Dict[Any, int] = {}
-    acc = 0
-    for blk_key, cnt in summaries:
-        offsets[blk_key] = acc
-        acc += cnt
-
-    off_ref = ray.put(offsets)
-
-    def emit(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], type=pa.int64()),
-                             "shuffle_key": pa.array([], type=pa.string()),
-                             "pos": pa.array([], type=pa.int64())})
-        off = ray.get(off_ref)[(t.column("shuffle_key")[0].as_py(),
-                                t.column("doc_id")[0].as_py())]
-        return pa.table({
-            "doc_id": t.column("doc_id"),
-            "shuffle_key": t.column("shuffle_key"),
-            "pos": pa.array(off + np.arange(t.num_rows), type=pa.int64()),
-        })
-
-    return keyed.map_batches(emit, batch_size=None, batch_format="pyarrow")
+    return ordered_offsets(ds.map_batches(key, batch_format="pyarrow"),
+                           ["shuffle_key", "doc_id"], "pos")
 
 
 def seeded_shuffle_sql(seed: int = SHUFFLE_SEED) -> str:
@@ -357,33 +281,6 @@ Q_SEEDED_SHUFFLE_SQL = seeded_shuffle_sql()
 
 # ------------------------------------------ source-interleaved epoch order
 
-def _block_start_offsets(keyed: "ray.data.Dataset",
-                         key_cols: List[str]) -> "ray.ObjectRef":
-    """Per-block start offsets for a SORTED (materialized) dataset: each
-    block reports (first-row key tuple, row count); the driver folds the
-    tiny list into a cumulative offset per block and broadcasts it.
-    The generalization of `q_pack_windows`'s pass-1 trick."""
-    def summarize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            cols = {c: pa.array([], type=keyed.schema().field(c).type)
-                    for c in key_cols}
-            cols["cnt"] = pa.array([], type=pa.int64())
-            return pa.table(cols)
-        cols = {c: t.column(c).slice(0, 1) for c in key_cols}
-        cols["cnt"] = pa.array([t.num_rows], type=pa.int64())
-        return pa.table(cols)
-
-    rows = keyed.map_batches(summarize, batch_size=None,
-                             batch_format="pyarrow").take_all()
-    summaries = sorted((tuple(r[c] for c in key_cols), r["cnt"]) for r in rows)
-    offsets: Dict[Any, int] = {}
-    acc = 0
-    for blk_key, cnt in summaries:
-        offsets[blk_key] = acc
-        acc += cnt
-    return ray.put(offsets)
-
-
 def q_interleave_sources(sf_dir: str, seed: int = SHUFFLE_SEED) -> "ray.data.Dataset":
     """Source-balanced epoch order: shuffle WITHIN each source
     deterministically (md5 rank), then interleave sources round-robin —
@@ -393,11 +290,12 @@ def q_interleave_sources(sf_dir: str, seed: int = SHUFFLE_SEED) -> "ray.data.Dat
     front-loading), matching how mixture schedulers spread a small
     high-quality source across the epoch instead of clumping it.
 
-    Scale shape: two range sorts over slim (doc_id, source, 32-byte
-    key) rows — the heavyweight text never moves — each followed by the
-    block-offset broadcast pass; within-source ranks come from per-block
-    (block, source)-segment offsets folded on the driver (O(blocks ×
-    sources-per-block) ints). Columns: doc_id, source, rn, pos.
+    Scale shape: two :func:`exchange.ordered_offsets` scans over slim
+    (doc_id, source, 32-byte key) rows — the heavyweight text never
+    moves. The first numbers rows in (source, skey, doc_id) order; one
+    keyed min per source (a handful of rows, broadcast) turns that into
+    the within-source rank. The second numbers rows in (rn, source,
+    doc_id) order. Columns: doc_id, source, rn, pos.
     """
     import hashlib
 
@@ -414,81 +312,25 @@ def q_interleave_sources(sf_dir: str, seed: int = SHUFFLE_SEED) -> "ray.data.Dat
                 type=pa.string()),
         })
 
-    by_src = (ds.map_batches(key, batch_format="pyarrow")
-                .sort(["source", "skey", "doc_id"]).materialize())
+    # global row number in (source, skey, doc_id) order; a source's rows
+    # are contiguous there, so the within-source rank is that number
+    # minus the source's first one (a handful of sources: broadcast)
+    by_src = ordered_offsets(ds.map_batches(key, batch_format="pyarrow"),
+                             ["source", "skey", "doc_id"], "rn")
+    first = keyed_aggregate(by_src, "source", {"first": ("rn", "min")}).take_all()
+    first_ref = ray.put({r["source"]: r["first"] for r in first})
 
-    # pass 1: per-(block, source-segment) counts -> within-source offsets.
-    # The block id is the TYPED (source, skey, doc_id) tuple of the
-    # block's first row: tuple comparison matches the Dataset sort order
-    # exactly (a joined-string key would not — e.g. 'src1' vs 'src10'
-    # order flips around the separator byte).
-    def seg_summary(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"b_source": pa.array([], type=pa.string()),
-                             "b_skey": pa.array([], type=pa.string()),
-                             "b_doc": pa.array([], type=pa.int64()),
-                             "seg_source": pa.array([], type=pa.string()),
-                             "cnt": pa.array([], type=pa.int64())})
-        src = np.asarray(t["source"].to_pylist(), dtype=object)
-        bounds = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
-        counts = np.diff(np.concatenate((bounds, [len(src)])))
-        n = len(bounds)
-        return pa.table({
-            "b_source": pa.array([src[0]] * n, type=pa.string()),
-            "b_skey": pa.array([t["skey"][0].as_py()] * n, type=pa.string()),
-            "b_doc": pa.array([t["doc_id"][0].as_py()] * n, type=pa.int64()),
-            "seg_source": pa.array(src[bounds], type=pa.string()),
-            "cnt": pa.array(counts, type=pa.int64()),
-        })
+    def within_source(t: pa.Table) -> pa.Table:
+        first = ray.get(first_ref)
+        start = np.fromiter((first[s] for s in t["source"].to_pylist()),
+                            dtype=np.int64, count=t.num_rows)
+        rn = t["rn"].to_numpy() - start
+        return pa.table({"doc_id": t["doc_id"], "source": t["source"],
+                         "rn": pa.array(rn, type=pa.int64())})
 
-    segs = by_src.map_batches(seg_summary, batch_size=None,
-                              batch_format="pyarrow").take_all()
-    # within each source, segments accumulate in global block order
-    segs.sort(key=lambda r: (r["seg_source"], r["b_source"], r["b_skey"], r["b_doc"]))
-    src_acc: Dict[str, int] = {}
-    seg_off: Dict[Any, int] = {}
-    for r in segs:
-        s = r["seg_source"]
-        seg_off[(r["b_source"], r["b_skey"], r["b_doc"], s)] = src_acc.get(s, 0)
-        src_acc[s] = src_acc.get(s, 0) + r["cnt"]
-    off_ref = ray.put(seg_off)
-
-    def emit_rn(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], type=pa.int64()),
-                             "source": pa.array([], type=pa.string()),
-                             "rn": pa.array([], type=pa.int64())})
-        off = ray.get(off_ref)
-        blk = (t["source"][0].as_py(), t["skey"][0].as_py(), t["doc_id"][0].as_py())
-        src = np.asarray(t["source"].to_pylist(), dtype=object)
-        bounds = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
-        ends = np.concatenate((bounds[1:], [len(src)]))
-        rn = np.empty(len(src), dtype=np.int64)
-        for b, e in zip(bounds, ends):
-            rn[b:e] = off[blk + (src[b],)] + np.arange(e - b)
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "source": t["source"],
-            "rn": pa.array(rn, type=pa.int64()),
-        })
-
-    ranked = (by_src.map_batches(emit_rn, batch_size=None, batch_format="pyarrow")
-                    .sort(["rn", "source", "doc_id"]).materialize())
-
-    pos_ref = _block_start_offsets(ranked, ["rn", "source", "doc_id"])
-
-    def emit_pos(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], type=pa.int64()),
-                             "source": pa.array([], type=pa.string()),
-                             "rn": pa.array([], type=pa.int64()),
-                             "pos": pa.array([], type=pa.int64())})
-        off = ray.get(pos_ref)[(t["rn"][0].as_py(), t["source"][0].as_py(),
-                                t["doc_id"][0].as_py())]
-        return t.append_column("pos", pa.array(off + np.arange(t.num_rows),
-                                               type=pa.int64()))
-
-    return ranked.map_batches(emit_pos, batch_size=None, batch_format="pyarrow")
+    return ordered_offsets(
+        by_src.map_batches(within_source, batch_size=None, batch_format="pyarrow"),
+        ["rn", "source", "doc_id"], "pos")
 
 
 def interleave_sources_sql(seed: int = SHUFFLE_SEED) -> str:

@@ -6,14 +6,13 @@ they run today" flagship that chains the engine's stages end-to-end —
 
 Every stage is one of the engine's existing primitives: the extraction
 actor stage, vectorized Arrow filters, the coarse-partitioned dedup
-shuffle (fingerprints only — text never crosses the exchange), and the
-two-pass distributed prefix sum for window packing.
+exchange (fingerprints only — text never crosses it), and the ordered
+scan (``exchange.ordered_offsets``) for window packing.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
 
 import numpy as np
 import pandas as pd
@@ -24,12 +23,12 @@ import ray.data
 
 from ..sources.pages import read_pq
 from .corpus import pages_corpus_for
+from .exchange import keyed_exchange
 from .extract_pipeline import extract_dataset
+from .packing import WINDOW_TOKENS, pack_tokens
 from ..sources.pages import read_pages
 
 MIN_TOKENS = 10
-WINDOW_TOKENS = 512
-N_DEDUP_PARTS = 256
 
 
 def q_training_prep(sf_dir: str) -> "ray.data.Dataset":
@@ -46,7 +45,7 @@ def q_training_prep(sf_dir: str) -> "ray.data.Dataset":
                         columns=["url", "warc_ts", "status",
                                  "extracted_text"])
 
-    # ok rows -> (part, fp, url, warc_ts, n_tokens): fingerprint + token
+    # ok rows -> (fp, url, warc_ts, n_tokens): fingerprint + token
     # count computed in the SAME pass; only slim columns continue.
     def slim(t: pa.Table) -> pa.Table:
         keep = pc.equal(t["status"], "ok")
@@ -55,9 +54,7 @@ def q_training_prep(sf_dir: str) -> "ray.data.Dataset":
         for x in t["extracted_text"].to_pylist():
             fps.append(hashlib.md5(x.encode("utf-8")).hexdigest())
             toks.append(len(x.split()))
-        part = [int(f[:4], 16) % N_DEDUP_PARTS for f in fps]
         out = pa.table({
-            "part": pa.array(part, type=pa.int32()),
             "fp": pa.array(fps, type=pa.string()),
             "url": t["url"].cast(pa.string()),
             "warc_ts": t["warc_ts"].cast(pa.timestamp("us")),
@@ -67,8 +64,8 @@ def q_training_prep(sf_dir: str) -> "ray.data.Dataset":
 
     slimmed = extracted.map_batches(slim, batch_format="pyarrow")
 
-    # exact dedup, first capture wins by (warc_ts, url): coarse-keyed
-    # shuffle on fp prefix, vectorized in-partition resolution.
+    # exact dedup, first capture wins by (warc_ts, url): keyed exchange
+    # on fp, vectorized in-partition resolution.
     def first_per_fp(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["fp", "warc_ts", "url"]).drop_duplicates("fp", keep="first")
         return pa.table({
@@ -77,64 +74,10 @@ def q_training_prep(sf_dir: str) -> "ray.data.Dataset":
             "n_tokens": pa.array(g["n_tokens"].to_numpy(), type=pa.int64()),
         })
 
-    uniq = (
-        slimmed.groupby("part")
-        .map_groups(first_per_fp, batch_format="pandas")
-        .sort(["url", "warc_ts"])
-        .materialize()  # slim table; both packing passes need identical blocks
-    )
-
-    # window packing: two-pass distributed prefix sum (see packing.py)
-    # block key = FULL first-row key (url, warc_ts): duplicate urls with
-    # different content both survive dedup, so url alone could collide
-    def summarize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"first_url": pa.array([], type=pa.string()),
-                             "first_ts": pa.array([], type=pa.timestamp("us")),
-                             "total": pa.array([], type=pa.int64())})
-        return pa.table({
-            "first_url": pa.array([t.column("url")[0].as_py()], type=pa.string()),
-            "first_ts": pa.array([t.column("warc_ts")[0].as_py()],
-                                 type=pa.timestamp("us")),
-            "total": pa.array(
-                [int(pc.sum(t.column("n_tokens")).as_py() or 0)], type=pa.int64()),
-        })
-
-    sums = sorted(
-        ((r["first_url"], r["first_ts"]), r["total"])
-        for r in uniq.map_batches(summarize, batch_size=None,
-                                  batch_format="pyarrow").take_all()
-    )
-    offsets: Dict[tuple, int] = {}
-    acc = 0
-    for key, total in sums:
-        offsets[key] = acc
-        acc += total
-    off_ref = ray.put(offsets)
-
-    def emit(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({
-                "url": pa.array([], type=pa.string()),
-                "warc_ts": pa.array([], type=pa.timestamp("us")),
-                "n_tokens": pa.array([], type=pa.int64()),
-                "start_tok": pa.array([], type=pa.int64()),
-                "window_id": pa.array([], type=pa.int64()),
-            })
-        off = ray.get(off_ref)[
-            (t.column("url")[0].as_py(), t.column("warc_ts")[0].as_py())
-        ]
-        n = t.column("n_tokens").to_numpy()
-        starts = off + np.concatenate(([0], np.cumsum(n)[:-1])).astype(np.int64)
-        return pa.table({
-            "url": t.column("url"),
-            "warc_ts": t.column("warc_ts"),
-            "n_tokens": t.column("n_tokens"),
-            "start_tok": pa.array(starts, type=pa.int64()),
-            "window_id": pa.array(starts // WINDOW_TOKENS, type=pa.int64()),
-        })
-
-    return uniq.map_batches(emit, batch_size=None, batch_format="pyarrow")
+    # window packing in (url, warc_ts) order — the FULL key: duplicate
+    # urls with different content both survive dedup
+    return pack_tokens(keyed_exchange(slimmed, "fp", first_per_fp),
+                       ["url", "warc_ts"])
 
 
 def training_prep_sql(sf_dir: str) -> str:

@@ -24,7 +24,7 @@ import ray.data
 from ..functions.normalize import normalize_text
 from ..functions.stopwords import STOPWORDS
 from ..sources.pages import read_pq
-from .exchange import keyed_aggregate
+from .exchange import keyed_aggregate, ordered_offsets
 
 _PUNCT_RE = re.compile(r"[.!?,;:]")
 _LANGS = sorted(STOPWORDS)  # deterministic candidate order
@@ -834,13 +834,10 @@ def q_vocab_ids(sf_dir: str) -> "ray.data.Dataset":
     a consecutive id ordered by (count desc, term asc) — the
     tokenizer-vocab builder, and the engine's global ordered
     ENUMERATION primitive (zipWithIndex). Distributed shape: keyed
-    (term, n) aggregate → global sort → two-pass
-    enumeration (per-block row counts land on the driver — one row per
-    BLOCK, bounded — and each block stamps ``offset + arange`` without
-    another exchange; the pack_windows prefix-sum trick).
+    (term, n) aggregate → :func:`exchange.ordered_offsets` (one global
+    sort; per-block row counts from block metadata fold on the driver,
+    and each block stamps ``offset + arange`` without another exchange).
     Columns: term, n, vocab_id."""
-    import numpy as np
-
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["text"])
 
@@ -856,48 +853,10 @@ def q_vocab_ids(sf_dir: str) -> "ray.data.Dataset":
         flat = tk._plain(pc.list_flatten(pc.split_pattern(nonblank, " ")))
         return pa.table({"term": flat.cast(pa.string())})
 
-    ordered = (keyed_aggregate(ds.map_batches(terms, batch_format="pyarrow"),
-                               "term", {"n": (None, "count_all")})
-               .sort(["n", "term"], descending=[True, False])
-               .materialize())  # both passes need identical blocks
-
-    def summarize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"first_n": pa.array([], type=pa.int64()),
-                             "first_term": pa.array([], type=pa.string()),
-                             "rows": pa.array([], type=pa.int64())})
-        return pa.table({
-            "first_n": pa.array([t["n"][0].as_py()], type=pa.int64()),
-            "first_term": pa.array([t["term"][0].as_py()], type=pa.string()),
-            "rows": pa.array([t.num_rows], type=pa.int64()),
-        })
-
-    sums = sorted(
-        ((-r["first_n"], r["first_term"]), r["rows"])
-        for r in ordered.map_batches(summarize, batch_size=None,
-                                     batch_format="pyarrow").take_all()
-    )
-    offsets: dict = {}
-    acc = 0
-    for key, rows in sums:
-        offsets[key] = acc
-        acc += rows
-
-    def emit(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"term": pa.array([], type=pa.string()),
-                             "n": pa.array([], type=pa.int64()),
-                             "vocab_id": pa.array([], type=pa.int64())})
-        off = offsets[(-t["n"][0].as_py(), t["term"][0].as_py())]
-        return pa.table({
-            "term": t["term"],
-            "n": t["n"],
-            "vocab_id": pa.array(off + np.arange(t.num_rows),
-                                 type=pa.int64()),
-        })
-
-    return ordered.map_batches(emit, batch_size=None,
-                               batch_format="pyarrow")
+    counts = keyed_aggregate(ds.map_batches(terms, batch_format="pyarrow"),
+                             "term", {"n": (None, "count_all")})
+    return ordered_offsets(counts, ["n", "term"], "vocab_id",
+                           descending=[True, False])
 
 
 Q_VOCAB_IDS_SQL = r"""

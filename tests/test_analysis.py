@@ -526,8 +526,9 @@ def test_lm_score_matches_oracle_on_fixture(ray_session, tmp_path):
 
 def test_vocab_ids_dense_global_enumeration(ray_session, tmp_path):
     """vocab_ids must assign consecutive ids across MANY sorted blocks
-    (the sf fixture vocab is one block; this forces the two-pass
-    offset path) and match a single-process reference exactly."""
+    (the sf fixture vocab is one block; this forces the block offsets
+    of exchange.ordered_offsets) and match a single-process reference
+    exactly."""
     import collections
 
     from deed_ocr_ray.pipelines.textops import q_vocab_ids

@@ -372,3 +372,77 @@ def test_keyed_aggregate_empty_input(ray_session, untyped):
     out = keyed_aggregate(ds, "k1", _AGGS)
     assert out.count() == 0
     assert out.take_all() == []
+
+
+# ------------------------------------------------------- ordered_offsets
+
+def _scan_input(n=4000):
+    """``n`` rows: 60% on one hot ``k``, a unique ``id``, and weights
+    ``w`` with many zeros."""
+    rng = np.random.default_rng(11)
+    k = np.where(rng.random(n) < 0.6, 7, rng.integers(0, 50, n)).astype(np.int64)
+    return pa.table({"k": k, "id": rng.permutation(n).astype(np.int64),
+                     "w": rng.integers(0, 4, n).astype(np.int64)})
+
+
+def _scan_reference(t, by, descending, weight):
+    """Single-process reference: ``t`` sorted by ``by`` with the
+    exclusive running sum of ``weight`` (1 per row when None)."""
+    order = [(c, "descending" if d else "ascending") for c, d in zip(by, descending)]
+    s = t.sort_by(order)
+    w = np.ones(s.num_rows, dtype=np.int64) if weight is None else s[weight].to_numpy()
+    return s.append_column("off", pa.array(np.cumsum(w) - w, type=pa.int64()))
+
+
+@pytest.mark.parametrize("weight", [None, "w"])
+@pytest.mark.parametrize("descending", [[False, False], [True, False]],
+                         ids=["asc", "desc_asc"])
+def test_ordered_offsets_matches_reference(ray_session, schema_warnings,
+                                           descending, weight):
+    """Row numbers and exclusive running sums (zero weights included)
+    over a two-key order equal a single-process sort + cumsum, on 8
+    input blocks with one hot leading key. The hot key's rows span
+    several output blocks, so only the block order can place them: this
+    pins that a materialized sort's blocks come out in sort order. No
+    output block is empty and a map over the output logs no schema
+    warning."""
+    from deed_ocr_ray.pipelines.exchange import ordered_offsets
+
+    t = _scan_input()
+    by = ["k", "id"]
+    out = ordered_offsets(_blocks(t, 8), by, "off", descending=descending, weight=weight)
+    rows = [m.num_rows for b in out.iter_internal_ref_bundles() for _, m in b.blocks]
+    assert len(rows) >= 8 and min(rows) > 0
+    assert out.count() == t.num_rows
+    assert out.schema().names == ["k", "id", "w", "off"]
+    hot_blocks = sum(pc.any(pc.equal(blk["k"], 7)).as_py()
+                     for blk in ray_session.get(out.to_arrow_refs()))
+    assert hot_blocks >= 2
+    want = _scan_reference(t, by, descending, weight)
+    got = pa.concat_tables(ray_session.get(out.to_arrow_refs()))
+    assert got.equals(want)  # also in output order
+    mapped = out.map_batches(lambda b: b.append_column("o2", pc.add(b["off"], 1)),
+                             batch_format="pyarrow").materialize()
+    assert mapped.count() == t.num_rows
+    assert schema_warnings == []
+
+
+@pytest.mark.parametrize("empty", ["typed", "filtered"])
+def test_ordered_offsets_empty_input(ray_session, schema_warnings, empty):
+    """Typed-empty input, and input a filter leaves without rows, give
+    an empty output that carries the input schema plus the offset
+    column."""
+    from deed_ocr_ray.pipelines.exchange import ordered_offsets
+
+    t = _scan_input(200)
+    if empty == "typed":
+        ds = _blocks(t.slice(0, 0), 3)
+    else:
+        ds = _blocks(t, 8).map_batches(
+            lambda b: b.filter(pc.less(b["k"], 0)), batch_format="pyarrow")
+    for weight in (None, "w"):
+        out = ordered_offsets(ds, "k", "off", weight=weight)
+        assert out.count() == 0
+        assert out.schema().names == ["k", "id", "w", "off"]
+        assert out.schema().base_schema.field("off").type == pa.int64()
+    assert schema_warnings == []

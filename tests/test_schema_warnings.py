@@ -27,7 +27,10 @@ QUERIES = ["term_stats", "sessionize", "tfidf_topk", "q3_shipping_priority",
            "snapshot_diff", "bloom_semijoin", "revenue_rollup", "revenue_cube",
            "retention_7d", "quantity_percentiles", "grouped_percentiles",
            "price_deciles", "lang_pivot", "token_rarity", "lm_score",
-           "lang_source_stats", "url_dedup"]
+           "lang_source_stats", "url_dedup",
+           # the queries that run exchange.ordered_offsets
+           "pack_windows", "seeded_shuffle", "interleave_sources",
+           "training_prep", "token_budget"]
 
 
 @pytest.mark.parametrize("name", QUERIES)
