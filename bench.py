@@ -31,11 +31,11 @@ BENCH_SEED = 1337
 
 # queries() entries timed in default mode (moderate cost, wide coverage).
 # Shuffle-free map queries run LAST: Ray's sampled sorts (the
-# remaining keyed ``map_groups`` sites, ROADMAP item 3) can log benign
-# "RefBundle with a different schema" warnings for the empty ranges
-# they create internally (zero-column bundles, not operator UDF output;
-# every UDF here emits typed empty tables), so ending on map-only
-# queries keeps the recorded stderr tail meaningful.
+# remaining ``sort().limit()`` top-k sites; every keyed exchange goes
+# through ``pipelines/exchange.py``) can log benign "RefBundle with a
+# different schema" warnings for the empty ranges they create
+# internally (zero-column bundles, not operator UDF output), so ending
+# on map-only queries keeps the recorded stderr tail meaningful.
 BENCH_QUERIES = [
     "q1_pricing_summary",
     "nation_revenue",

@@ -8,7 +8,7 @@ rules:
 - shuffles are COARSE: ``exchange.keyed_exchange`` (or, where one
   stream mixes doc-id and n-gram keys, ``exchange.part_ids`` per piece
   and ``exchange.part_exchange``) with vectorized resolution inside
-  each partition — never per-key ``map_groups``;
+  each partition — never one UDF call per key;
 - float outputs are produced by the SAME single IEEE op tree on both
   the Ray side and the DuckDB oracle (``ln``/``sqrt``/``*``/``/`` are
   bit-identical between glibc libm and DuckDB on this platform —
@@ -203,10 +203,14 @@ def q_tfidf_topk(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
         })
 
     def attach_df(g: pd.DataFrame) -> pa.Table:
-        # one (doc, term) row per doc ⇒ rows-per-term == document freq
+        # one (doc, term) row per doc ⇒ rows-per-term == document freq;
+        # the rows leave tagged with their doc_id part, ready for the
+        # second exchange (no separate tagging pass over them)
         df = g["term"].map(g["term"].value_counts())
+        doc = pa.array(g["doc_id"].to_numpy(), type=pa.int64())
         return pa.table({
-            "doc_id": pa.array(g["doc_id"].to_numpy(), type=pa.int64()),
+            "part": pa.array(part_ids(doc, PARTS), type=pa.int32()),
+            "doc_id": doc,
             "term": pa.array(g["term"].tolist(), type=pa.string()),
             "tf": pa.array(g["tf"].to_numpy(), type=pa.int64()),
             "df": pa.array(df.to_numpy(), type=pa.int64()),
@@ -233,7 +237,7 @@ def q_tfidf_topk(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
 
     with_df = keyed_exchange(ds.map_batches(pairs, batch_format="pyarrow"),
                              "term", attach_df)
-    return keyed_exchange(with_df, "doc_id", topk)
+    return part_exchange(with_df, topk)
 
 
 def tfidf_topk_sql(k: int = 5) -> str:
@@ -1215,11 +1219,9 @@ def q_value_outliers(sf_dir: str) -> "ray.data.Dataset":
     deterministic (cents, event_id) order — NOT the engine-dependent
     quantile builtin), and the fence test doubled through to avoid the
     .5 ((2x < 2q1 − 3·IQR) ⇔ (x < q1 − 1.5·IQR)) so the DuckDB oracle
-    hashes exactly. Per-key map_groups is fine at event-type
-    cardinality; coarse-partition for high-cardinality keys.
+    hashes exactly. One ``keyed_exchange`` on event_type; each
+    partition's fold computes every type's fences vectorized.
     Columns: event_id, event_type, cents."""
-    import math
-
     ds = read_pq(f"{sf_dir}/events.parquet",
                                columns=["event_id", "event_type", "value"])
 
@@ -1235,11 +1237,15 @@ def q_value_outliers(sf_dir: str) -> "ray.data.Dataset":
         })
 
     def fences(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["cents", "event_id"], kind="mergesort")
+        # each row reads its type's quartiles at the type's first row
+        # plus rank ceil(n/4) - 1 / ceil(3n/4) - 1
+        g = g.sort_values(["event_type", "cents", "event_id"], kind="mergesort")
+        by = g.groupby("event_type", sort=False, dropna=False)
+        n = by["cents"].transform("size").to_numpy()
+        first = np.arange(len(g)) - by.cumcount().to_numpy()
         v = g["cents"].to_numpy()
-        n = len(v)
-        q1 = int(v[math.ceil(n / 4) - 1])
-        q3 = int(v[math.ceil(3 * n / 4) - 1])
+        q1 = v[first + (n + 3) // 4 - 1]
+        q3 = v[first + (3 * n + 3) // 4 - 1]
         iqr = q3 - q1
         keep = (2 * v < 2 * q1 - 3 * iqr) | (2 * v > 2 * q3 + 3 * iqr)
         out = g[keep]
@@ -1250,9 +1256,8 @@ def q_value_outliers(sf_dir: str) -> "ray.data.Dataset":
             "cents": pa.array(out["cents"].to_numpy(), type=pa.int64()),
         })
 
-    return (ds.map_batches(slim, batch_format="pyarrow")
-            .groupby("event_type")
-            .map_groups(fences, batch_format="pandas"))
+    return keyed_exchange(ds.map_batches(slim, batch_format="pyarrow"),
+                          "event_type", fences)
 
 
 Q_VALUE_OUTLIERS_SQL = """

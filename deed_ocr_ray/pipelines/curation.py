@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 from ..sources.pages import read_pq
-from .exchange import keyed_aggregate, ordered_offsets
+from .exchange import keyed_aggregate, keyed_exchange, ordered_offsets
 
 # ------------------------------------------------- stratified hash split
 
@@ -364,7 +364,8 @@ def q_stratified_sample(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
     Grouped-top-k shape: each batch keeps only its local k smallest
     (lang, h) rows (combiner — the exchange carries at most
     k × strata × blocks slim rows, never the corpus), then one slim
-    groupby resolves the global per-stratum top-k. Ties are impossible
+    ``keyed_exchange`` on ``lang`` resolves the global per-stratum top-k
+    (one sort per partition, ``cumcount`` ranks). Ties are impossible
     (md5 over distinct ids), but doc_id breaks them deterministically
     anyway, matching the oracle's ORDER BY.
     Columns: lang, doc_id, h, rk.
@@ -373,35 +374,25 @@ def q_stratified_sample(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "lang"])
 
-    def local_topk(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({
-            "lang": t["lang"].to_pylist(),
-            "doc_id": t["doc_id"].to_pylist(),
-        })
-        df["h"] = [hashlib.md5(str(i).encode()).hexdigest() for i in df["doc_id"]]
-        df = df.sort_values(["lang", "h", "doc_id"]).groupby("lang", sort=False).head(k)
-        return pa.table({
-            "lang": pa.array(df["lang"].tolist(), type=pa.string()),
-            "doc_id": pa.array(df["doc_id"].to_numpy(), type=pa.int64()),
-            "h": pa.array(df["h"].tolist(), type=pa.string()),
-        })
-
-    def resolve(g) -> pa.Table:
-        g = g.sort_values(["h", "doc_id"]).head(k)
+    def topk(g) -> pa.Table:
+        # the k smallest (h, doc_id) per lang, ranked from 1
+        g = g.sort_values(["lang", "h", "doc_id"])
+        rk = g.groupby("lang", sort=False, dropna=False).cumcount().to_numpy() + 1
+        g, rk = g[rk <= k], rk[rk <= k]
         return pa.table({
             "lang": pa.array(g["lang"].tolist(), type=pa.string()),
             "doc_id": pa.array(g["doc_id"].to_numpy(), type=pa.int64()),
             "h": pa.array(g["h"].tolist(), type=pa.string()),
-            "rk": pa.array(np.arange(1, len(g) + 1, dtype=np.int64), type=pa.int64()),
+            "rk": pa.array(rk, type=pa.int64()),
         })
 
-    return (
-        ds.map_batches(local_topk, batch_format="pyarrow")
-        .groupby("lang")  # strata are few — per-key map_groups is fine
-        .map_groups(resolve, batch_format="pandas")
-    )
+    def local_topk(t: pa.Table) -> pa.Table:
+        df = t.select(["lang", "doc_id"]).to_pandas()
+        df["h"] = [hashlib.md5(str(i).encode()).hexdigest() for i in df["doc_id"]]
+        return topk(df)
+
+    return keyed_exchange(ds.map_batches(local_topk, batch_format="pyarrow"),
+                          "lang", topk)
 
 
 def stratified_sample_sql(k: int = 10) -> str:
@@ -776,17 +767,15 @@ def q_delta_apply(sf_dir: str) -> "ray.data.Dataset":
     every crawl refresh.
 
     Scale shape: ONE read emits A rows and delta rows side-tagged from
-    the same batch (text crosses the exchange once); a coarse
-    hash(doc_id) partition co-locates each doc's rows; a vectorized
-    highest-side-wins resolve applies delete > upsert > keep.
+    the same batch (text crosses the exchange once); one
+    ``keyed_exchange`` on ``doc_id`` co-locates each doc's rows; a
+    vectorized highest-side-wins resolve applies delete > upsert > keep.
     Columns: doc_id, text.
     """
-    import numpy as np
     import pandas as pd
 
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
-    n_parts = 64
 
     def emit(t: pa.Table) -> pa.Table:
         ids: List[int] = []; texts: List[str] = []; sides: List[int] = []
@@ -798,9 +787,7 @@ def q_delta_apply(sf_dir: str) -> "ray.data.Dataset":
                 ids.append(did); texts.append(txt.upper()); sides.append(1)
             if did % DIFF_ADD_MOD == 0:
                 ids.append(-did - 1); texts.append(txt + " v2"); sides.append(1)
-        part = (np.abs(np.asarray(ids, dtype=np.int64)) % n_parts).astype(np.int32)
         return pa.table({
-            "part": pa.array(part, type=pa.int32()),
             "doc_id": pa.array(ids, type=pa.int64()),
             "text": pa.array(texts, type=pa.string()),
             "side": pa.array(sides, type=pa.int8()),
@@ -817,9 +804,8 @@ def q_delta_apply(sf_dir: str) -> "ray.data.Dataset":
             "text": pa.array(g["text"].tolist(), type=pa.string()),
         })
 
-    return (ds.map_batches(emit, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(resolve, batch_format="pandas"))
+    return keyed_exchange(ds.map_batches(emit, batch_format="pyarrow"),
+                          "doc_id", resolve)
 
 
 Q_DELTA_APPLY_SQL = f"""

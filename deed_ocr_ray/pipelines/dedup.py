@@ -7,8 +7,9 @@ operators, built shuffle-consciously:
 
 * exact dedup hashes content inside ``map_batches`` and shuffles only
   ``(fp, doc_id)`` pairs — the text never crosses the exchange;
-* MinHash+LSH explodes each doc into ``n_bands`` tiny band rows,
-  ``groupby(band_id, band_hash)`` co-locates only colliding docs, and
+* MinHash+LSH explodes each doc into ``n_bands`` tiny band rows, one
+  ``exchange.keyed_exchange`` on ``band_hash`` co-locates every bucket
+  (colliding docs resolve vectorized inside each partition), and
   candidate verification is TWO ``exchange.keyed_join``s of the slim
   pair list against the distributed signature table (doc_a then
   doc_b) — no per-doc state ever lands on the driver, so the shape
@@ -27,7 +28,6 @@ operators, built shuffle-consciously:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from typing import Dict, List
 
@@ -38,7 +38,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Max, Sum
 from ..sources.pages import read_pq
-from .exchange import _nonempty, keyed_aggregate, keyed_join
+from .exchange import _nonempty, keyed_aggregate, keyed_exchange, keyed_join
 
 # ------------------------------------------------------------- exact dedup
 
@@ -121,9 +121,6 @@ def minhash_signature(text: str) -> np.ndarray:
     return vals.min(axis=1)
 
 
-N_SHUFFLE_PARTS = 512  # coarse shuffle key: buckets per map_groups call
-
-
 def _sig_table(t: pa.Table) -> pa.Table:
     """(doc_id, sig) rows: signature as a 512-byte binary blob — a
     primitive column that rides the joins untouched and decodes
@@ -147,17 +144,16 @@ def minhash_sigs(sf_dir: str) -> "ray.data.Dataset":
 
 def _explode_bands(t: pa.Table) -> pa.Table:
     """Band rows from signature rows. Emits one SLIM row per
-    (doc, band): (part, band_id, band_hash, doc_id) — 24 B/row.
-    Signatures do NOT ride the shuffle (a 512 B sig repeated across 16
-    band rows made the exchange 300x heavier than the keys).
+    (doc, band): (band_id, band_hash, doc_id) — 20 B/row, plus the
+    exchange's 4 B part id. Signatures do NOT ride the shuffle (a 512 B
+    sig repeated across 16 band rows made the exchange 300x heavier
+    than the keys).
 
-    ``part`` is a COARSE shuffle key (band_hash mod N_SHUFFLE_PARTS):
-    grouping by the exact (band_id, band_hash) key makes Ray's
-    ``map_groups`` call the UDF once per bucket — ~16 buckets/doc, all
-    size 1, each paying a pandas-DataFrame construction (measured 34 s
-    for 5k docs). Grouping by ``part`` and resolving exact buckets with
-    a vectorized in-partition groupby cuts that to a few hundred UDF
-    calls with identical results."""
+    The exchange is COARSE: ``keyed_exchange`` on ``band_hash`` folds
+    each partition once and resolves the exact buckets vectorized
+    inside it. One call per exact (band_id, band_hash) bucket instead —
+    ~16 buckets/doc, all size 1, each paying a pandas-DataFrame
+    construction — measured 34 s for 5k docs."""
     doc_ids: List[int] = []
     band_ids: List[int] = []
     band_hashes: List[int] = []
@@ -172,7 +168,6 @@ def _explode_bands(t: pa.Table) -> pa.Table:
             band_ids.append(b)
             band_hashes.append(bh)
     return pa.table({
-        "part": pa.array([h % N_SHUFFLE_PARTS for h in band_hashes], type=pa.int32()),
         "band_id": pa.array(band_ids, type=pa.int32()),
         "band_hash": pa.array(band_hashes, type=pa.int64()),
         "doc_id": pa.array(doc_ids, type=pa.int64()),
@@ -222,8 +217,11 @@ def _candidate_pairs(
     so the counts downstream are per-distinct-bucket-size; the overflow
     AGGREGATE keeps the true bucket count via the groupby's Count."""
     bands = sigs.map_batches(_explode_bands, batch_format="pyarrow")
-    fn = functools.partial(_bucket_pairs, max_bucket=max_bucket)
-    pairs = bands.groupby("part").map_groups(fn, batch_format="pandas")
+
+    def bucket_pairs(g: pd.DataFrame) -> pa.Table:
+        return _bucket_pairs(g, max_bucket)
+
+    pairs = keyed_exchange(bands, "band_hash", bucket_pairs)
     # a pair can surface from several bands -> exact dedup on the slim
     # pair rows; n_bands doubles as the overflow-bucket count for the
     # (-1, size) sentinel keys
@@ -537,9 +535,7 @@ class _SimHashBands(SimHashBatch):
         band_ids = np.tile(np.arange(4, dtype=np.int32), n)
         shifts = (np.uint64(16) * band_ids.astype(np.uint64))
         band_vals = ((np.repeat(sigs, 4) >> shifts) & np.uint64(0xFFFF)).astype(np.int32)
-        part = ((band_ids.astype(np.int64) * 65536 + band_vals) % N_SHUFFLE_PARTS).astype(np.int32)
         return pa.table({
-            "part": pa.array(part),
             "band_id": pa.array(band_ids),
             "band_val": pa.array(band_vals),
             "doc_id": pa.array(doc_ids),
@@ -560,8 +556,8 @@ def _simhash_candidates(
     """Banded SimHash candidates with the same quadratic guard as
     ``_bucket_pairs``: band buckets larger than ``max_bucket`` are not
     scanned (boilerplate / all-empty texts all hash to one signature
-    and would otherwise blow up O(n²) inside a single ``map_groups``
-    call); each skipped bucket emits an OVERFLOW sentinel row
+    and would otherwise blow up O(n²) inside one partition's fold);
+    each skipped bucket emits an OVERFLOW sentinel row
     ``(doc_a=-1, doc_b=bucket_size, hamming=0)``. The pair-dedup
     groupby's Count doubles as the per-size overflow-bucket count
     (``n_buckets``), mirroring ``_candidate_pairs``."""
@@ -591,7 +587,7 @@ def _simhash_candidates(
         })
 
     exploded = ds.map_batches(_simhash_bands_fn, batch_format="pyarrow")
-    cand = exploded.groupby("part").map_groups(pairs, batch_format="pandas")
+    cand = keyed_exchange(exploded, "band_val", pairs)
     # a pair can share several bands: dedup, keeping its min distance
     return keyed_aggregate(cand, ["doc_a", "doc_b"],
                            {"hamming": ("hamming", "min"),
@@ -950,7 +946,7 @@ def q_cluster_keep_best(sf_dir: str, min_est: float = 0.5,
             "keep": pa.array(keep, type=pa.bool_()),
         })
 
-    return joined.groupby("rep_id").map_groups(decide, batch_format="pandas")
+    return keyed_exchange(joined, "rep_id", decide)
 
 
 # --------------------------------------------- fuzzy (edit-distance) join
@@ -1093,14 +1089,15 @@ def q_fuzzy_url_pairs(
         })
 
     def pairs(g: pd.DataFrame) -> pa.Table:
+        overflow = pa.table({
+            "url_a": pa.array([g["host"].iloc[0]], type=pa.string()),
+            "url_b": pa.array(["OVERFLOW"], type=pa.string()),
+            "dist": pa.array([-1], type=pa.int64()),
+        })
         urls = sorted(set(g["url"].tolist()))
         n = len(urls)
         if n > max_block:
-            return pa.table({
-                "url_a": pa.array([g["host"].iloc[0]], type=pa.string()),
-                "url_b": pa.array(["OVERFLOW"], type=pa.string()),
-                "dist": pa.array([-1], type=pa.int64()),
-            })
+            return overflow
         codes = _codes_matrix(urls)
         lens = np.array([len(u) for u in urls], dtype=np.int64)
         # candidate pairs via the exact length prefilter, built from
@@ -1112,11 +1109,7 @@ def q_fuzzy_url_pairs(
         cnt = hi - np.arange(n) - 1
         total = int(cnt.sum())
         if total > max_pairs:
-            return pa.table({
-                "url_a": pa.array([g["host"].iloc[0]], type=pa.string()),
-                "url_b": pa.array(["OVERFLOW"], type=pa.string()),
-                "dist": pa.array([-1], type=pa.int64()),
-            })
+            return overflow
         starts = np.cumsum(cnt) - cnt
         ii_s = np.repeat(np.arange(n, dtype=np.int32), cnt)
         jj_s = (np.arange(total, dtype=np.int64)
@@ -1140,9 +1133,12 @@ def q_fuzzy_url_pairs(
             "dist": pa.array(out_d, type=pa.int64()),
         })
 
-    return (ds.map_batches(distinct_hosted, batch_format="pyarrow")
-            .groupby("host")
-            .map_groups(pairs, batch_format="pandas"))
+    def per_host(df: pd.DataFrame) -> pa.Table:
+        return pa.concat_tables(
+            [pairs(g) for _, g in df.groupby("host", sort=False)])
+
+    return keyed_exchange(ds.map_batches(distinct_hosted, batch_format="pyarrow"),
+                          "host", per_host)
 
 
 def fuzzy_url_pairs_sql(corpus: str, max_dist: int = FUZZY_MAX_DIST) -> str:

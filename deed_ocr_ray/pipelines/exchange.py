@@ -4,8 +4,13 @@ Each operator that needs all rows of a key together (window functions,
 corpus-global counts, grouped top-k, as-of/range joins, equi-joins)
 does the same COARSE exchange: tag every row with
 ``part = part_ids(key) ∈ [0, P)``, range-sort on ``part``, and work on
-each part once, resolving the exact keys vectorized. Per-key
-``map_groups`` would pay one UDF call per (mostly tiny) key instead.
+each part once, resolving the exact keys vectorized (a grouped top-k
+or rank is one sort plus ``groupby(key, sort=False).head(k)`` /
+``cumcount()``; a body that is inherently per key loops over the keys
+of its part). Every keyed exchange of ``pipelines/`` goes through this
+module: no Ray ``groupby().map_groups`` (a sampled sort, one UDF call
+per key) and no keyed ``repartition`` (aggregator actors) elsewhere —
+``tests/test_exchange_structure.py`` enforces it.
 
 Partitioning assumption: one partition holds ALL rows of each key it
 contains — guaranteed because the partition id is a pure function of
@@ -86,8 +91,8 @@ def keyed_exchange(ds: "ray.data.Dataset", key: str,
     """Co-locate the rows of each ``key`` value in one of ``PARTS``
     partitions and apply ``fold`` (a pandas DataFrame -> Arrow table
     function) once per partition. The frame ``fold`` receives carries
-    an extra int32 ``part`` column. Runs ``ds`` before returning, like
-    :func:`part_exchange`."""
+    an extra int32 ``part`` column. Runs ``ds`` and the folds before
+    returning; the output has no empty block (see :func:`part_exchange`)."""
     def tag(t: pa.Table) -> pa.Table:
         return t.append_column(
             "part", pa.array(part_ids(t[key], PARTS), type=pa.int32()))
@@ -121,8 +126,8 @@ def _by_part(ds: "ray.data.Dataset", ranges: int = 0) -> "ray.data.Dataset":
     repartition: it pays no aggregator-actor startup (~2.5 s of actors
     measured on sub-second queries like ``q_sessionize``). The range
     boundaries come from the part ids actually present, one range per
-    input block at most, so no range is empty. Ray's own sampled
-    boundaries (``groupby().map_groups``) collide when a few part ids
+    input block at most, so no range is empty. Sampled boundaries
+    (Ray's ``sort`` and ``groupby()``) collide when a few part ids
     hold most rows; the empty range becomes a schema-less block that
     every downstream operator re-emits, with a "different schema"
     warning.
@@ -142,7 +147,14 @@ def _by_part(ds: "ray.data.Dataset", ranges: int = 0) -> "ray.data.Dataset":
 def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
     """:func:`keyed_exchange` for rows that already carry an int32
     ``part`` column (streams that mix keys pick it per piece with
-    :func:`part_ids`). Runs ``ds`` before returning."""
+    :func:`part_ids`).
+
+    Runs ``ds`` and the folds before returning. The output has no empty
+    block: a range whose every part folds to nothing gives an empty
+    block, which the next map operator would re-emit schema-less (the
+    "different schema" warning), so those blocks are dropped. An empty
+    output keeps the fold's empty blocks (typed when ``fold`` returns
+    typed tables); an empty input gives an untyped empty Dataset."""
     def fold_parts(t: pa.Table):
         # blocks from the single-range path are not sorted by part
         t = t.sort_by("part")
@@ -152,8 +164,12 @@ def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
             yield fold(t.slice(lo, hi - lo).to_pandas())
 
     fold_parts.__name__ = fold.__name__  # names the operator in stats
-    return _by_part(ds).map_batches(fold_parts, batch_size=None,
-                                    batch_format="pyarrow")
+    folded = _by_part(ds).map_batches(fold_parts, batch_size=None,
+                                      batch_format="pyarrow").materialize()
+    refs = _nonempty(folded)
+    if refs and len(refs) < folded.num_blocks():
+        return ray.data.from_arrow_refs(refs)
+    return folded
 
 
 # how each aggregate function's partials refold after the exchange

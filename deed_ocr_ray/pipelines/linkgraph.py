@@ -497,8 +497,8 @@ def q_anchor_terms(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
     """Top-``k`` EXTERNAL anchor texts per destination host — the
     classic "anchor text describes the target" retrieval signal.
     A keyed (dst_host, anchor) count, whose combiner shrinks the
-    exchange to distinct pairs per block; the per-host top-k is a per-key
-    ``map_groups`` (host cardinality; coarse-partition at 10^8 hosts).
+    exchange to distinct pairs per block, then one ``keyed_exchange``
+    on ``dst_host`` whose fold sorts once and keeps ``head(k)`` per host.
     Deterministic tie-break (cnt desc, anchor asc).
     Columns: dst_host, anchor, cnt, rk."""
     links = q_outlinks(sf_dir)
@@ -508,18 +508,18 @@ def q_anchor_terms(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
                              pc.not_equal(t["anchor"], "")))
         return t.select(["dst_host", "anchor"])
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cnt", "anchor"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rk"] = (g.index + 1).astype("int64")
-        return g
+    def topk(g: pd.DataFrame) -> pa.Table:
+        g = g.sort_values(["dst_host", "cnt", "anchor"],
+                          ascending=[True, False, True])
+        g = g.assign(rk=g.groupby("dst_host", sort=False, dropna=False)
+                     .cumcount() + 1)
+        return pa.Table.from_pandas(
+            g.loc[g["rk"] <= k, ["dst_host", "anchor", "cnt", "rk"]],
+            preserve_index=False).replace_schema_metadata()
 
-    return (
-        keyed_aggregate(links.map_batches(external, batch_format="pyarrow"),
-                        ["dst_host", "anchor"], {"cnt": (None, "count_all")})
-        .groupby("dst_host")
-        .map_groups(topk, batch_format="pandas")
-    )
+    counts = keyed_aggregate(links.map_batches(external, batch_format="pyarrow"),
+                             ["dst_host", "anchor"], {"cnt": (None, "count_all")})
+    return keyed_exchange(counts, "dst_host", topk)
 
 
 def q_doc_authority(sf_dir: str) -> "ray.data.Dataset":

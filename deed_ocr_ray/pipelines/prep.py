@@ -23,7 +23,7 @@ import ray.data
 
 from ..sources.pages import read_pq
 from .corpus import pages_corpus_for
-from .exchange import keyed_exchange
+from .exchange import _nonempty, keyed_exchange
 from .extract_pipeline import extract_dataset
 from .packing import WINDOW_TOKENS, pack_tokens
 from ..sources.pages import read_pages
@@ -261,30 +261,6 @@ FROM kept GROUP BY url, warc_ts
 """
 
 
-def _para_shuffle_parts(n_docs: int) -> int:
-    """Hash-shuffle aggregator count for the paragraph-dedup
-    exchanges, sized by input (each partition is one aggregator ACTOR
-    plus one rebuild call: a fixed 64 on a tiny input pays seconds of
-    actor startup and can starve a low-CPU host into the single-plan
-    multi-shuffle deadlock — NOTES.md landmine; at cluster scale this
-    grows with the corpus)."""
-    return max(1, min(64, n_docs // 8192 + 1))
-
-_PD_EMPTY_DROPS = pa.table({
-    "url": pa.array([], type=pa.string()),
-    "warc_ts": pa.array([], type=pa.timestamp("us")),
-    "idx": pa.array([], type=pa.int64()),
-})
-
-_PD_EMPTY_OUT = pa.table({
-    "url": pa.array([], type=pa.string()),
-    "warc_ts": pa.array([], type=pa.timestamp("us")),
-    "clean_text": pa.array([], type=pa.string()),
-    "n_blocks": pa.array([], type=pa.int64()),
-    "n_dropped": pa.array([], type=pa.int64()),
-})
-
-
 def paragraph_dedup_dataset(extracted: "ray.data.Dataset") -> "ray.data.Dataset":
     def ok_slim(t: pa.Table) -> pa.Table:
         t = t.filter(pc.and_(pc.equal(t["status"], "ok"),
@@ -296,14 +272,11 @@ def paragraph_dedup_dataset(extracted: "ray.data.Dataset") -> "ray.data.Dataset"
         })
 
     # the ONE full-corpus pin: both passes below branch from these
-    # blocks instead of re-running extraction (object store, spillable)
+    # blocks instead of re-running extraction (object store, spillable).
+    # Its 0-row blocks (batches with no ok row) go: a map over an empty
+    # block emits a schema-less one ("different schema" warning)
     ok = extracted.map_batches(ok_slim, batch_format="pyarrow").materialize()
-    # key-based repartition needs the hash-shuffle strategy; Dataset
-    # contexts are per-lineage copies of the global DataContext, so
-    # this scopes to THIS operator's plan only
-    from ray.data.context import ShuffleStrategy
-    ok.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    n_parts = _para_shuffle_parts(ok.count())
+    ok = ray.data.from_arrow_refs(_nonempty(ok)) if ok.count() else ok
 
     # ---- pass A (slim): fingerprints only through the fp exchange
     def explode_keys(t: pa.Table) -> pa.Table:
@@ -329,13 +302,9 @@ def paragraph_dedup_dataset(extracted: "ray.data.Dataset") -> "ray.data.Dataset"
         # winner = the (url, warc_ts, idx)-min row per fp; emit ONLY
         # the losing keys (the minority), vectorized: sort then
         # duplicated-after-first (deterministic total order). Handles
-        # MANY fps per call: one call per hash partition, not per key.
-        if g.empty:
-            return _PD_EMPTY_DROPS
+        # MANY fps per call: one call per partition, not per key.
         g = g.sort_values(["fp", "url", "warc_ts", "idx"], kind="mergesort")
         out = g[g.duplicated("fp", keep="first")]
-        if out.empty:
-            return _PD_EMPTY_DROPS
         return pa.table({
             "url": pa.array(out["url"].tolist(), type=pa.string()),
             "warc_ts": pa.Array.from_pandas(out["warc_ts"],
@@ -343,20 +312,10 @@ def paragraph_dedup_dataset(extracted: "ray.data.Dataset") -> "ray.data.Dataset"
             "idx": pa.array(out["idx"].to_numpy(), type=pa.int64()),
         })
 
-    # hash-repartition on fp co-locates copies directly (no derived
-    # coarse-key column, no global sort) and the whole-partition
-    # map_batches returns TYPED empty tables on empty partitions —
-    # unlike groupby().map_groups, whose empty-block path yields a
-    # schemaless bundle (the "RefBundle with a different schema"
-    # warning in earlier rounds)
-    # the drop list is slim (losing keys only): materializing it is a
-    # bounded barrier that keeps the two hash exchanges in SEPARATE
-    # plans (two shuffles' aggregator pools in one streaming plan
-    # deadlock at low CPU counts — NOTES.md landmine)
-    drops = (ok.map_batches(explode_keys, batch_format="pyarrow")
-             .repartition(n_parts, keys=["fp"], sort=True)
-             .map_batches(losers, batch_format="pandas", batch_size=None)
-             .materialize())
+    # the fp exchange co-locates every copy of a block; the drop list
+    # is slim (losing keys only)
+    drops = keyed_exchange(ok.map_batches(explode_keys, batch_format="pyarrow"),
+                           "fp", losers)
 
     # ---- pass B: text + drop tags co-partitioned on the doc key —
     # the single exchange the block text crosses
@@ -398,17 +357,11 @@ def paragraph_dedup_dataset(extracted: "ray.data.Dataset") -> "ray.data.Dataset"
         drops.map_batches(tag_drops, batch_format="pyarrow"))
 
     def rebuild_part(g: pd.DataFrame) -> pa.Table:
-        if g.empty:
-            return _PD_EMPTY_OUT
         d = g[g["drop"] == 1]
-        t = g[g["drop"] == 0]
-        if len(d):
-            t = t.merge(d[["url", "warc_ts", "idx"]].drop_duplicates(),
-                        on=["url", "warc_ts", "idx"], how="left",
-                        indicator=True)
-            t = t[t["_merge"] == "left_only"]
-        if t.empty:
-            return _PD_EMPTY_OUT
+        t = g[g["drop"] == 0].merge(d[["url", "warc_ts", "idx"]].drop_duplicates(),
+                                    on=["url", "warc_ts", "idx"], how="left",
+                                    indicator=True)
+        t = t[t["_merge"] == "left_only"]
         t = t.sort_values(["url", "warc_ts", "idx"])
         agg = t.groupby(["url", "warc_ts"], sort=False).agg(
             clean_text=("block", "\n\n".join),
@@ -430,9 +383,8 @@ def paragraph_dedup_dataset(extracted: "ray.data.Dataset") -> "ray.data.Dataset"
         })
 
     # docs whose every block was a duplicate vanish from the output
-    # entirely (C4 semantics: nothing left to train on). Hash
-    # repartition on the doc key co-locates a doc's blocks with its
-    # drop keys; one vectorized rebuild call per partition.
-    return (merged.repartition(n_parts, keys=["url", "warc_ts"], sort=True)
-            .map_batches(rebuild_part, batch_format="pandas",
-                         batch_size=None))
+    # entirely (C4 semantics: nothing left to train on). The exchange on
+    # url co-locates a doc's blocks with its drop keys (every row of a
+    # (url, warc_ts) doc shares its url); one vectorized rebuild call
+    # per partition.
+    return keyed_exchange(merged, "url", rebuild_part)

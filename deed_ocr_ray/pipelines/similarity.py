@@ -8,7 +8,9 @@ Brute-force cosine top-k as the exact baseline and a label-partitioned
 * each batch computes cosines vectorized (numpy float64 matmul) and
   emits only its LOCAL top-k per query — the global shuffle then moves
   ``k × n_queries`` rows per batch, not the full corpus;
-* final exact top-k per query via ``groupby(query_id).map_groups``.
+* final exact top-k per query via one ``exchange.keyed_exchange`` on
+  ``query_id``: each partition sorts once and keeps ``head(k)`` per
+  query.
 
 All cosine math is float64 end-to-end, which is bit-identical to
 DuckDB's ``list_cosine_similarity`` on ``DOUBLE[]`` — so the oracle
@@ -24,6 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 from ..sources.pages import read_pq
+from .exchange import keyed_exchange
 
 K_NEIGHBORS = 10
 N_QUERIES = 5
@@ -137,9 +140,14 @@ class TopKScorer:
         })
 
 
-def _global_topk(g: pd.DataFrame, k: int = K_NEIGHBORS) -> pd.DataFrame:
-    g = g.sort_values(["cos", "neighbor_id"], ascending=[False, True]).head(k)
-    return g.reset_index(drop=True)
+def _global_topk(g: pd.DataFrame, k: int = K_NEIGHBORS) -> pa.Table:
+    """Exact top-k (cos desc, neighbor_id asc) of every query in one
+    partition of the local top-k rows."""
+    g = g.sort_values(["query_id", "cos", "neighbor_id"],
+                      ascending=[True, False, True])
+    g = g.groupby("query_id", sort=False).head(k)
+    return pa.Table.from_pandas(g[["query_id", "neighbor_id", "cos"]],
+                                preserve_index=False).replace_schema_metadata()
 
 
 def q_knn_cosine(sf_dir: str) -> "ray.data.Dataset":
@@ -151,7 +159,7 @@ def q_knn_cosine(sf_dir: str) -> "ray.data.Dataset":
         TopKScorer(queries=q, query_ids=qid, k=K_NEIGHBORS),
         batch_format="pyarrow",
     )
-    return local.groupby("query_id").map_groups(_global_topk, batch_format="pandas")
+    return keyed_exchange(local, "query_id", _global_topk)
 
 
 Q_KNN_SQL = f"""
@@ -209,7 +217,7 @@ def q_knn_ivf(sf_dir: str) -> "ray.data.Dataset":
             })
 
     local = ds.map_batches(IvfScorer(), batch_format="pyarrow")
-    return local.groupby("query_id").map_groups(_global_topk, batch_format="pandas")
+    return keyed_exchange(local, "query_id", _global_topk)
 
 
 Q_KNN_IVF_SQL = f"""
@@ -284,7 +292,7 @@ def q_knn_lsh(sf_dir: str) -> "ray.data.Dataset":
             })
 
     local = ds.map_batches(LshScorer(), batch_format="pyarrow")
-    return local.groupby("query_id").map_groups(_global_topk, batch_format="pandas")
+    return keyed_exchange(local, "query_id", _global_topk)
 
 
 def _lsh_bucket_sql(col: str) -> str:
@@ -419,7 +427,14 @@ def q_embedding_neardup(
             "is_above_threshold": c >= min_cos,
         })
 
-    return ds.groupby("label").map_groups(pairs, batch_format="pandas")
+    def per_label(df: pd.DataFrame) -> pa.Table:
+        # no pandas metadata: Ray fails to hash schemas that carry it
+        # ("Failed to hash the schemas" in the workers' logs)
+        return pa.Table.from_pandas(
+            pd.concat([pairs(g) for _, g in df.groupby("label", sort=False)]),
+            preserve_index=False).replace_schema_metadata()
+
+    return keyed_exchange(ds, "label", per_label)
 
 
 def embedding_neardup_sql(min_cos: float = 0.90) -> str:

@@ -31,7 +31,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 from ..sources.pages import read_pq
-from .exchange import keyed_aggregate
+from .exchange import keyed_aggregate, keyed_exchange, keyed_join
 
 # ----------------------------------------------------------- bloom core
 
@@ -76,7 +76,6 @@ def bloom_contains(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------- bloom semi-join
 
 SEMI_PRICE_THR = 400_000.0
-_SEMI_PARTS = 64
 
 
 def _bloom_probe_fn(bloom_ref):
@@ -106,10 +105,11 @@ def q_bloom_semijoin(sf_dir: str, thr: float = SEMI_PRICE_THR) -> "ray.data.Data
        exchange — at corpus scale this is the difference between
        shuffling every lineitem and shuffling the qualifying few
        percent;
-    3. survivors co-shuffle with the exact key set on ``key % P`` and
-       are verified with an in-partition ``np.isin`` — Bloom false
-       positives are dropped here, so the output is value-hash EXACT
-       (the oracle is the plain semi-join, no approximation).
+    3. survivors are verified by an exact ``keyed_join`` against the
+       qualifying order keys (``o_orderkey`` is unique, so the inner
+       join is the semi-join) — Bloom false positives find no match
+       and drop here, so the output is value-hash EXACT (the oracle is
+       the plain semi-join, no approximation).
 
     Columns: l_returnflag, n_items, cents.
     """
@@ -145,27 +145,16 @@ def q_bloom_semijoin(sf_dir: str, thr: float = SEMI_PRICE_THR) -> "ray.data.Data
     def exact_keys(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        sel = t.filter(pc.greater(t["o_totalprice"], thr))
-        k = sel["o_orderkey"].to_numpy()
-        return pa.table({
-            "key": pa.array(k, type=pa.int64()),
-            "rf": pa.array([""] * len(k), type=pa.string()),
-            "cents": pa.array(np.zeros(len(k), dtype=np.int64), type=pa.int64()),
-            "is_key": pa.array(np.ones(len(k), dtype=bool)),
-            "part": pa.array((k % _SEMI_PARTS).astype(np.int32), type=pa.int32()),
-        })
+        return t.filter(pc.greater(t["o_totalprice"], thr)).select(["o_orderkey"])
 
     def survivor_rows(t: pa.Table) -> pa.Table:
-        k = t["l_orderkey"].to_numpy()
         cents = np.floor(
             t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100 + 0.5
         ).astype(np.int64)
         return pa.table({
-            "key": pa.array(k, type=pa.int64()),
-            "rf": t["l_returnflag"].cast(pa.string()),
+            "l_orderkey": t["l_orderkey"],
+            "l_returnflag": t["l_returnflag"].cast(pa.string()),
             "cents": pa.array(cents, type=pa.int64()),
-            "is_key": pa.array(np.zeros(len(k), dtype=bool)),
-            "part": pa.array((k % _SEMI_PARTS).astype(np.int32), type=pa.int32()),
         })
 
     fact = read_pq(
@@ -176,22 +165,10 @@ def q_bloom_semijoin(sf_dir: str, thr: float = SEMI_PRICE_THR) -> "ray.data.Data
     ).map_batches(survivor_rows, batch_format="pyarrow")
     build = keys_ds.map_batches(exact_keys, batch_format="pyarrow")
 
-    def verify_agg(g: pd.DataFrame) -> pa.Table:
-        keys = g.loc[g["is_key"], "key"].to_numpy()
-        rows = g[~g["is_key"]]
-        real = rows[np.isin(rows["key"].to_numpy(), keys)]
-        agg = real.groupby("rf", sort=True).agg(
-            n_items=("key", "size"), cents=("cents", "sum"))
-        return pa.table({
-            "l_returnflag": pa.array(agg.index.tolist(), type=pa.string()),
-            "n_items": pa.array(agg["n_items"].to_numpy(), type=pa.int64()),
-            "cents": pa.array(agg["cents"].to_numpy(), type=pa.int64()),
-        })
-
-    return keyed_aggregate(
-        survivors.union(build).groupby("part")
-        .map_groups(verify_agg, batch_format="pandas"),
-        "l_returnflag", {"n_items": ("n_items", "sum"), "cents": ("cents", "sum")})
+    return keyed_aggregate(keyed_join(survivors, build, "l_orderkey", "o_orderkey"),
+                           "l_returnflag",
+                           {"n_items": (None, "count_all"),
+                            "cents": ("cents", "sum")})
 
 
 def bloom_semijoin_sql(thr: float = SEMI_PRICE_THR) -> str:
@@ -308,9 +285,11 @@ def q_dau_hll(sf_dir: str) -> "ray.data.Dataset":
     MB of sketches).
 
     Per-batch: one register array per day seen, keyed rows of
-    ``(day, regs_blob)``. One slim groupby merges blobs with
-    element-wise max and estimates. The estimate-vs-exact audit lives
-    in ``tests/test_sketches.py`` (the sketch-audit rule).
+    ``(day, regs_blob)``. One slim ``keyed_exchange`` on ``day``
+    merges each day's blobs with one element-wise max reduce per
+    partition and estimates. The
+    estimate-vs-exact audit lives in ``tests/test_sketches.py`` (the
+    sketch-audit rule).
     Columns: day, est_users.
     """
 
@@ -333,17 +312,17 @@ def q_dau_hll(sf_dir: str) -> "ray.data.Dataset":
         })
 
     def merge(g: pd.DataFrame) -> pa.Table:
-        regs = np.zeros(len(np.frombuffer(g["regs"].iloc[0], dtype=np.uint8)),
-                        dtype=np.uint8)
-        for blob in g["regs"]:
-            np.maximum(regs, np.frombuffer(blob, dtype=np.uint8), out=regs)
+        # one register row per partial, max-reduced over each day's rows
+        g = g.sort_values("day", kind="mergesort")
+        day = g["day"].to_numpy()
+        first = np.flatnonzero(np.r_[True, day[1:] != day[:-1]])
+        regs = np.frombuffer(b"".join(g["regs"]), dtype=np.uint8).reshape(len(g), -1)
         return pa.table({
-            "day": pa.array([g["day"].iloc[0]], type=pa.string()),
-            "est_users": pa.array([int(round(hll_estimate(regs)))], type=pa.int64()),
+            "day": pa.array(day[first].tolist(), type=pa.string()),
+            "est_users": pa.array([int(round(hll_estimate(r)))
+                                   for r in np.maximum.reduceat(regs, first)],
+                                  type=pa.int64()),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("day")  # groups are few (days); per-key map_groups is fine
-        .map_groups(merge, batch_format="pandas")
-    )
+    return keyed_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                          "day", merge)

@@ -2,11 +2,11 @@
 
 Operators a training-data/feature pipeline needs that Ray Data has no
 primitive for, expressed as compositions per SURVEY.md §2 guidance
-(custom operator rule: map_batches + groupby().map_groups + sort when
+(custom operator rule: map_batches + a keyed exchange + sort when
 semantics allow). The keyed ones go through ``exchange.keyed_exchange``
 on their window/join key and resolve exact keys vectorized inside each
-partition, because per-key ``map_groups`` pays one UDF call per key
-(see dedup.MinHasher for measurements).
+partition (one sort, then ``cumcount``/``transform`` per key) — never
+one UDF call per key.
 
 Money values aggregate in integer cents so running sums are
 bit-identical to the DuckDB oracle regardless of addition order.
@@ -146,11 +146,10 @@ def q_order_percent_rank(sf_dir: str) -> "ray.data.Dataset":
     primitives (feature scaling / percentile features). The ordering
     key is unique, so rank == row_number and both stats are exact
     integer ratios computed identically here and in DuckDB (bitwise-
-    equal doubles). Priority cardinality is 5, so per-key map_groups
-    is fine; the group body is one numpy arange (coarse-partition for
-    high-cardinality keys). Partitioning assumption: one priority
-    class fits a partition. Columns: o_orderkey, o_orderpriority,
-    pct_rank, cume_dist."""
+    equal doubles). One ``keyed_exchange`` on the priority; each
+    partition sorts once and ranks with ``cumcount``. Partitioning
+    assumption: one priority class fits a partition. Columns:
+    o_orderkey, o_orderpriority, pct_rank, cume_dist."""
     ds = read_pq(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderpriority", "o_totalprice"],
@@ -168,10 +167,12 @@ def q_order_percent_rank(sf_dir: str) -> "ray.data.Dataset":
         })
 
     def body(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["cents", "o_orderkey"], kind="mergesort")
-        n = len(g)
-        rn = np.arange(1, n + 1, dtype=np.float64)
-        pr = (rn - 1.0) / (n - 1.0) if n > 1 else np.zeros(n)
+        g = g.sort_values(["o_orderpriority", "cents", "o_orderkey"],
+                          kind="mergesort")
+        by = g.groupby("o_orderpriority", sort=False, dropna=False)
+        rn = by.cumcount().to_numpy(dtype=np.float64) + 1.0
+        n = by["o_orderkey"].transform("size").to_numpy(dtype=np.float64)
+        pr = np.divide(rn - 1.0, n - 1.0, out=np.zeros(len(g)), where=n > 1)
         return pa.table({
             "o_orderkey": pa.array(g["o_orderkey"].to_numpy(),
                                    type=pa.int64()),
@@ -181,9 +182,8 @@ def q_order_percent_rank(sf_dir: str) -> "ray.data.Dataset":
             "cume_dist": pa.array(rn / n, type=pa.float64()),
         })
 
-    return (ds.map_batches(slim, batch_format="pyarrow")
-            .groupby("o_orderpriority")
-            .map_groups(body, batch_format="pandas"))
+    return keyed_exchange(ds.map_batches(slim, batch_format="pyarrow"),
+                          "o_orderpriority", body)
 
 
 Q_PERCENT_RANK_SQL = """

@@ -104,11 +104,13 @@ def test_part_ids_multi_column():
     assert part_ids([a[:0], b[:0]], 16).tolist() == []
 
 
-def test_keyed_exchange_hot_key(ray_session, schema_warnings):
+@pytest.mark.parametrize("keytype", ["int", "str5"])
+def test_keyed_exchange_hot_key(ray_session, schema_warnings, keytype):
     """One key holds 90% of the rows, so sampled sort boundaries
     collide on its part and leave empty ranges. The exchange emits no
     empty block, folds every key exactly once, and logs no schema
-    warning."""
+    warning. ``str5`` is a low-cardinality string key (five values, like
+    an order priority): fewer parts than input blocks."""
     import collections
 
     import ray
@@ -116,12 +118,15 @@ def test_keyed_exchange_hot_key(ray_session, schema_warnings):
     from deed_ocr_ray.pipelines.exchange import keyed_exchange
 
     keys = np.r_[np.zeros(900, dtype=np.int64), np.arange(1, 101, dtype=np.int64)]
+    if keytype == "str5":
+        keys = np.array(["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED",
+                         "5-LOW"], dtype=object)[keys % 5]
     np.random.default_rng(0).shuffle(keys)
     ds = ray.data.from_arrow([pa.table({"k": c}) for c in np.array_split(keys, 8)])
 
     def fold(g):
         vc = g["k"].value_counts()
-        return pa.table({"k": pa.array(vc.index.to_numpy(), type=pa.int64()),
+        return pa.table({"k": pa.array(vc.index.to_numpy()),
                          "n": pa.array(vc.to_numpy(), type=pa.int64())})
 
     out = keyed_exchange(ds, "k", fold).materialize()
@@ -130,6 +135,62 @@ def test_keyed_exchange_hot_key(ray_session, schema_warnings):
     df = out.to_pandas()
     assert sorted(zip(df["k"], df["n"])) == sorted(collections.Counter(keys.tolist()).items())
     assert schema_warnings == []
+
+
+def _part_input(n_parts=64, n_blocks=8):
+    """Rows tagged with ``n_parts`` part ids, spread over ``n_blocks``
+    blocks (each block holds every part)."""
+    part = np.arange(n_parts * 10, dtype=np.int32) % n_parts
+    t = pa.table({"part": part, "x": np.arange(len(part), dtype=np.int64)})
+    return _blocks(t, n_blocks)
+
+
+def _keep_part(p):
+    """Fold that keeps only part ``p``'s rows: a typed-empty table for
+    every other part (nested, so Ray workers get it by value)."""
+    def keep_part(g):
+        g = g[g["part"] == p]
+        return pa.table({"part": pa.array(g["part"].to_numpy(), type=pa.int32()),
+                         "x": pa.array(g["x"].to_numpy(), type=pa.int64())})
+    return keep_part
+
+
+def test_part_exchange_drops_empty_fold_blocks(ray_session, schema_warnings):
+    """64 parts over 8 input blocks are folded in 8 ranges; only one
+    part folds to rows, so 7 ranges fold to nothing. Those empty blocks
+    are not in the output, and a map over it logs no schema warning.
+    When every part folds to nothing, the output is empty but typed."""
+    from deed_ocr_ray.pipelines.exchange import part_exchange
+
+    out = part_exchange(_part_input(), _keep_part(0))
+    rows = [m.num_rows for b in out.iter_internal_ref_bundles() for _, m in b.blocks]
+    assert rows == [10]
+    mapped = out.map_batches(lambda t: t, batch_format="pyarrow").to_pandas()
+    assert sorted(mapped["x"]) == list(range(0, 640, 64))
+    none = part_exchange(_part_input(), _keep_part(-1))
+    assert none.count() == 0 and none.schema().names == ["part", "x"]
+    assert schema_warnings == []
+
+
+@pytest.mark.parametrize("empty", ["typed", "filtered", "mapped"])
+def test_part_exchange_empty_input(ray_session, empty):
+    """Input without rows — typed-empty, filtered to zero rows, or
+    mapped to zero rows — gives 0 rows and no error. Ray's map
+    operators leave such input schema-less and the fold never runs, so
+    the output is untyped."""
+    from deed_ocr_ray.pipelines.exchange import part_exchange
+
+    if empty == "typed":
+        ds = _blocks(pa.table({"part": pa.array([], pa.int32()),
+                               "x": pa.array([], pa.int64())}), 2)
+    elif empty == "filtered":
+        ds = _part_input().filter(expr="x < 0")
+    else:
+        ds = _part_input().map_batches(lambda t: t.slice(0, 0),
+                                       batch_format="pyarrow")
+    out = part_exchange(ds, _keep_part(0))
+    assert out.count() == 0
+    assert out.schema() is None
 
 
 # ------------------------------------------------------------ keyed_join

@@ -30,7 +30,14 @@ QUERIES = ["term_stats", "sessionize", "tfidf_topk", "q3_shipping_priority",
            "lang_source_stats", "url_dedup",
            # the queries that run exchange.ordered_offsets
            "pack_windows", "seeded_shuffle", "interleave_sources",
-           "training_prep", "token_budget"]
+           "training_prep", "token_budget",
+           # the grouped folds that ran Ray groupby().map_groups or a
+           # keyed hash repartition before they went through
+           # exchange.keyed_exchange
+           "stratified_sample", "knn_cosine", "knn_ivf", "knn_lsh",
+           "order_percent_rank", "value_outliers", "fuzzy_url_pairs",
+           "delta_apply", "dau_hll", "embedding_neardup",
+           "paragraph_dedup", "paragraph_dedup_extracted"]
 
 
 @pytest.mark.parametrize("name", QUERIES)
