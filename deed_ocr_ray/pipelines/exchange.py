@@ -3,8 +3,8 @@
 Each operator that needs all rows of a key together (window functions,
 corpus-global counts, grouped top-k, as-of/range joins, equi-joins)
 does the same COARSE exchange: tag every row with
-``part = part_ids(key) ∈ [0, P)``, range-sort on ``part``, and work on
-each part once, resolving the exact keys vectorized (a grouped top-k
+``part = part_ids(key) ∈ [0, P)``, bring each part's rows together, and
+work on each part once, resolving the exact keys vectorized (a grouped top-k
 or rank is one sort plus ``groupby(key, sort=False).head(k)`` /
 ``cumcount()``; a body that is inherently per key loops over the keys
 of its part). Every keyed exchange of ``pipelines/`` goes through this
@@ -15,6 +15,14 @@ per key) and no keyed ``repartition`` (aggregator actors) elsewhere —
 Partitioning assumption: one partition holds ALL rows of each key it
 contains — guaranteed because the partition id is a pure function of
 the key, identical in every worker process.
+
+The exchange is plain Ray tasks, one Ray execution of the input and no
+Ray Data all-to-all operator: one map task per input block, started as
+the block lands, sorts it by part and returns its per-part row counts;
+the driver reads only those counts, cuts the part ids present into
+ranges (one per input block at most, so no range is empty), and one
+reduce task per range takes each sorted block's rows of its parts,
+sorts them by part and runs the caller's fold.
 
 This module owns that decision: the partition function, the exchange
 call (:func:`keyed_exchange`, :func:`part_exchange`) and the two
@@ -36,12 +44,14 @@ goes through it.
 
 from __future__ import annotations
 
+import logging
 from typing import Callable
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+from ray.data._internal.arrow_ops.transform_pyarrow import concat
 
 from ..functions.tokens import _plain
 
@@ -49,6 +59,8 @@ from ..functions.tokens import _plain
 # fit a worker heap at corpus scale, few enough that per-partition
 # overhead stays negligible at sf0.01.
 PARTS = 64
+
+log = logging.getLogger(__name__)
 
 
 def part_ids(col, parts: int) -> np.ndarray:
@@ -100,11 +112,6 @@ def keyed_exchange(ds: "ray.data.Dataset", key: str,
     return part_exchange(ds.map_batches(tag, batch_format="pyarrow"), fold)
 
 
-@ray.remote
-def _parts_in(block: pa.Table) -> np.ndarray:
-    return np.unique(block["part"].to_numpy())
-
-
 def _block_rows(ds: "ray.data.MaterializedDataset") -> list:
     """``(ref, row count)`` of the blocks of ``ds`` that hold rows, in
     block order."""
@@ -117,31 +124,94 @@ def _nonempty(ds: "ray.data.MaterializedDataset") -> list:
     return [ref for ref, _ in _block_rows(ds)]
 
 
-def _by_part(ds: "ray.data.Dataset", ranges: int = 0) -> "ray.data.Dataset":
-    """Range-sort rows that carry an int32 ``part`` column so that every
-    part lands whole in one block and no block is empty. At most
-    ``ranges`` blocks come out (default: one per non-empty input block).
+@ray.remote(num_returns=2)
+def _sort_block(block: pa.Table, key: str | None) -> tuple:
+    """Map task of the exchange: ``block``'s rows in part order (stable)
+    and the part ids it holds with their row counts, ascending. A row's
+    part is its ``part`` column, or ``part_ids(block[key])``."""
+    parts = (block["part"].to_numpy() if key is None
+             else part_ids(block[key], PARTS))
+    ids, counts = np.unique(parts, return_counts=True)
+    return block.take(np.argsort(parts, kind="stable")), (ids, counts)
 
-    The exchange is a range sort on ``part``, not a keyed hash
-    repartition: it pays no aggregator-actor startup (~2.5 s of actors
-    measured on sub-second queries like ``q_sessionize``). The range
-    boundaries come from the part ids actually present, one range per
-    input block at most, so no range is empty. Sampled boundaries
-    (Ray's ``sort`` and ``groupby()``) collide when a few part ids
-    hold most rows; the empty range becomes a schema-less block that
-    every downstream operator re-emits, with a "different schema"
-    warning.
 
-    Runs ``ds`` before returning (the sort is a barrier either way)."""
-    ds = ds.materialize()
-    refs = _nonempty(ds)
+@ray.remote(num_returns=2)
+def _fold_range(fold: Callable, sides: int, spans: list, *blocks) -> tuple:
+    """Reduce task of the exchange: ``fold`` over one range of parts,
+    and the row count of its output. ``fold`` gets one list per input
+    side of the range's slices of the sorted blocks, in block order;
+    ``spans`` holds the ``(side, first row, end row)`` of each block."""
+    slices = [[] for _ in range(sides)]
+    for (side, lo, hi), block in zip(spans, blocks):
+        slices[side].append(block.slice(lo, hi - lo))
+    out = fold(*slices)
+    return out, out.num_rows
+
+
+def _part_rows(slices: list) -> pa.Table:
+    """One range's slices as one table, stably sorted by ``part``:
+    slices from different blocks interleave their parts."""
+    return concat(slices, promote_types=True).sort_by("part")
+
+
+def _map_blocks(ds: "ray.data.Dataset", key: str | None = None) -> tuple:
+    """Start one :func:`_sort_block` task per non-empty block of ``ds``
+    as the blocks land (no barrier: the first map tasks overlap the
+    upstream's last blocks). Returns the tasks' ``(sorted block,
+    counts)`` refs and the schema of ``ds``'s blocks (None when
+    untyped)."""
+    maps, schema = [], None
+    for bundle in ds.iter_internal_ref_bundles():
+        maps += [_sort_block.remote(ref, key)
+                 for ref, meta in bundle.blocks if meta.num_rows != 0]
+        # the first schema with columns, as Ray's materialize takes it:
+        # an untyped empty block's schema has none
+        schema = schema or bundle.schema
+    return maps, schema or None
+
+
+def _exchange(sides: list, fold: Callable, ranges: int = 0) -> list:
+    """The exchange's reduce half over the map tasks of one or more
+    input ``sides`` (:func:`_map_blocks`). The part ids present are cut
+    into at most ``ranges`` ranges (default: one per input block), so
+    no range is empty, and one :func:`_fold_range` task per range runs
+    ``fold``. Only the per-block part counts reach the driver. Returns
+    ``(output ref, rows)`` per range, in part order."""
+    maps = [(side, *refs) for side, ms in enumerate(sides) for refs in ms]
+    counts = ray.get([c for _, _, c in maps])
     present = np.unique(np.concatenate(
-        [np.empty(0, dtype=np.int32), *ray.get([_parts_in.remote(r) for r in refs])]))
-    n = min(len(present), ranges or len(refs))
-    if n > 1:
-        cuts = present[np.arange(1, n) * len(present) // n]
-        return ds.sort("part", boundaries=cuts.tolist())
-    return ds.repartition(1)
+        [np.empty(0, dtype=np.int32), *(ids for ids, _ in counts)]))
+    n = min(len(present), ranges or len(maps))
+    cuts = present[np.arange(1, n) * len(present) // n]
+    # edges[b][r]: the first row of range r in sorted block b
+    edges = [np.r_[0, np.cumsum(c)][np.r_[0, np.searchsorted(ids, cuts), len(ids)]]
+             for ids, c in counts]
+    fold_ref = ray.put(fold)  # pickled once, not once per range task
+    task = _fold_range.options(name=fold.__name__)
+    outs = []
+    for r in range(n):
+        live = [b for b, e in enumerate(edges) if e[r + 1] > e[r]]
+        outs.append(task.remote(
+            fold_ref, len(sides),
+            [(maps[b][0], int(edges[b][r]), int(edges[b][r + 1])) for b in live],
+            *(maps[b][1] for b in live)))
+    range_rows = [sum(int(e[r + 1] - e[r]) for e in edges) for r in range(n)]
+    log.debug("exchange %s: %d rows in %d blocks, %d ranges, "
+              "max %d / median %d rows per range", fold.__name__,
+              sum(range_rows), len(maps), n, max(range_rows, default=0),
+              int(np.median(range_rows)) if range_rows else 0)
+    rows = ray.get([k for _, k in outs])
+    return [(ref, k) for (ref, _), k in zip(outs, rows)]
+
+
+def _dataset(outs: list) -> "ray.data.Dataset":
+    """The exchange's output: its non-empty range outputs (a map
+    operator would re-emit an empty block schema-less, the "different
+    schema" warning). When every range folds to nothing, one empty
+    output (typed when the fold's is); without any range (no input
+    row), an untyped empty Dataset."""
+    refs = [ref for ref, k in outs if k] or [ref for ref, _ in outs[:1]]
+    return ray.data.from_arrow_refs(refs or [ray.put(pa.table({}))])
 
 
 def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
@@ -150,26 +220,19 @@ def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
     :func:`part_ids`).
 
     Runs ``ds`` and the folds before returning. The output has no empty
-    block: a range whose every part folds to nothing gives an empty
-    block, which the next map operator would re-emit schema-less (the
-    "different schema" warning), so those blocks are dropped. An empty
-    output keeps the fold's empty blocks (typed when ``fold`` returns
-    typed tables); an empty input gives an untyped empty Dataset."""
-    def fold_parts(t: pa.Table):
-        # blocks from the single-range path are not sorted by part
-        t = t.sort_by("part")
+    block: a range whose every part folds to nothing is dropped. An
+    empty output is one empty block (typed when ``fold`` returns typed
+    tables); an empty input gives an untyped empty Dataset."""
+    def fold_parts(slices: list) -> pa.Table:
+        t = _part_rows(slices)
         p = t["part"].to_numpy()
         cut = np.flatnonzero(p[1:] != p[:-1]) + 1
-        for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(p)]):
-            yield fold(t.slice(lo, hi - lo).to_pandas())
+        return concat([fold(t.slice(lo, hi - lo).to_pandas())
+                       for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(p)])],
+                      promote_types=True)
 
-    fold_parts.__name__ = fold.__name__  # names the operator in stats
-    folded = _by_part(ds).map_batches(fold_parts, batch_size=None,
-                                      batch_format="pyarrow").materialize()
-    refs = _nonempty(folded)
-    if refs and len(refs) < folded.num_blocks():
-        return ray.data.from_arrow_refs(refs)
-    return folded
+    fold_parts.__name__ = fold.__name__  # names the reduce tasks
+    return _dataset(_exchange([_map_blocks(ds)[0]], fold_parts))
 
 
 # how each aggregate function's partials refold after the exchange
@@ -211,11 +274,11 @@ def keyed_aggregate(ds: "ray.data.Dataset", keys,
 
     Plan: each batch folds to one row per key with an Arrow
     ``group_by`` (the combiner: only distinct keys cross the exchange)
-    and is tagged with its key's part; one :func:`_by_part` range
-    exchange lands every key whole in one block; one Arrow ``group_by``
-    per block refolds the partials (counts and sums add, mins and maxes
-    fold again). Runs ``ds`` before returning; an empty input gives an
-    empty, untyped Dataset."""
+    and is tagged with its key's part; the exchange's map tasks sort
+    each block of partials by part, and one reduce task per range of
+    parts refolds its partials with one Arrow ``group_by`` (counts and
+    sums add, mins and maxes fold again). Runs ``ds`` and the refolds
+    before returning; an empty input gives an empty, untyped Dataset."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     names = list(aggs)
 
@@ -234,37 +297,22 @@ def keyed_aggregate(ds: "ray.data.Dataset", keys,
 
     refold = [(n, _REFOLD[fn]) for n, (_, fn) in zip(names, aggs.values())]
 
-    def fold(t: pa.Table) -> pa.Table:
-        g = group(t, refold)
+    def fold(slices: list) -> pa.Table:
+        g = group(_part_rows(slices), refold)
         return g.cast(pa.schema([(f.name, _widened(f.type)) for f in g.schema]))
 
     tagged = ds.map_batches(combine, batch_format="pyarrow")
-    return _by_part(tagged).map_batches(fold, batch_size=None,
-                                        batch_format="pyarrow")
-
-
-@ray.remote
-def _join_side(block: pa.Table, side: int, key: str, own: pa.Schema,
-               names: list, joint: pa.Schema) -> pa.Table:
-    """One input block of :func:`keyed_join` as rows of the ``joint``
-    schema: its own columns under their positional ``names``, typed
-    nulls for the other side's, its part id and side flag."""
-    t = block.select(own.names).cast(own)
-    cols = dict(zip(names, t.columns))
-    cols["part"] = pa.array(part_ids(t[key], PARTS), type=pa.int32())
-    cols["side"] = pa.array(np.full(t.num_rows, side, dtype=np.int8))
-    return pa.table([cols[f.name] if f.name in cols
-                     else pa.nulls(t.num_rows, f.type) for f in joint], schema=joint)
+    return _dataset(_exchange([_map_blocks(tagged)[0]], fold))
 
 
 def keyed_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
                right_on: str | None = None,
                how: str = "inner") -> "ray.data.Dataset":
     """Equi-join ``left`` and ``right`` on ``left.on == right.right_on``
-    as a co-partitioned merge: both sides' rows are tagged with
-    ``part_ids(key, PARTS)`` and a side flag, ONE range exchange over
-    their union brings each part's rows of both sides into one block,
-    and ``pa.Table.join`` merges them there.
+    as a co-partitioned merge in ONE exchange over both sides: a map
+    task per block sorts its rows by ``part_ids(key, PARTS)``, and one
+    reduce task per range of parts takes both sides' rows of those
+    parts and merges them with ``pa.Table.join``.
 
     ``how`` is ``"inner"`` or ``"left outer"``. Output columns: the
     left columns, then the right side's non-key columns (the right key
@@ -284,44 +332,26 @@ def keyed_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
         raise ValueError(
             f"keyed_join: how must be 'inner' or 'left outer', not {how!r}")
     right_on = right_on or on
-    sides = [left.materialize(), right.materialize()]
-    own = [s.base_schema if (s := d.schema()) else None for d in sides]
-    blocks = [_nonempty(d) for d in sides]
-    no_rows = not blocks[0] or (how == "inner" and not blocks[1])
+    maps, own = zip(_map_blocks(left, on), _map_blocks(right, right_on))
+    no_rows = not maps[0] or (how == "inner" and not maps[1])
     if None in own:  # an empty side that Ray left untyped
         if not no_rows:
             raise ValueError("keyed_join: the right side of a left outer join "
                              "is empty and untyped, so its columns are unknown")
-        return sides[own.index(None)]
+        return _dataset([])
     out = own[0].empty_table().join(own[1].empty_table(), on, right_on, how)
     if no_rows:
         return ray.data.from_arrow(out)
 
-    names = [[f"{c}{i}" for i in range(len(sch))] for c, sch in zip("lr", own)]
-    joint = pa.schema([("part", pa.int32()), ("side", pa.int8())]
-                      + [(n, f.type) for ns, sch in zip(names, own)
-                         for n, f in zip(ns, sch)])
-    # plain tasks over the non-empty blocks only: a map operator turns
-    # an empty block into a schema-less one
-    tagged = [_join_side.remote(ref, side, key, own[side], names[side], joint)
-              for side, key in enumerate((on, right_on)) for ref in blocks[side]]
-
-    def merge(t: pa.Table) -> pa.Table:
-        is_left = pc.equal(t["side"], 0)
-        lt = t.filter(is_left).select(names[0]).rename_columns(own[0].names)
-        rt = t.filter(pc.invert(is_left)).select(names[1]).rename_columns(own[1].names)
+    def merge(lslices: list, rslices: list) -> pa.Table:
+        lt, rt = (pa.concat_tables([sch.empty_table()] + [
+            b.select(sch.names).cast(sch) for b in bs])
+            for sch, bs in zip(own, (lslices, rslices)))
         return lt.join(rt, on, right_on, how, use_threads=False).cast(out.schema)
 
     # as many ranges as the larger side has blocks, not as both have:
     # a join output fed back into a join keeps its block count
-    ranged = _by_part(ray.data.from_arrow_refs(tagged), max(map(len, blocks)))
-    joined = ranged.map_batches(
-        merge, batch_size=None, batch_format="pyarrow").materialize()
-    # a part whose rows found no match merges to an empty block, which
-    # the next map operator would re-emit schema-less: drop those (a
-    # map task that yields nothing emits a schema-less block as well)
-    refs = _nonempty(joined)
-    return ray.data.from_arrow_refs(refs) if refs else ray.data.from_arrow(out)
+    return _dataset(_exchange(maps, merge, max(map(len, maps))))
 
 
 @ray.remote

@@ -598,8 +598,8 @@ def q3_shipping_priority(
                           ("l_orderkey", "ascending")]).slice(0, k)
 
     cand = agg.map_batches(local_topk, batch_size=None, batch_format="pyarrow")
-    return cand.sort(["revenue_cents", "o_orderdate", "l_orderkey"],
-                     descending=[True, False, False]).limit(k)
+    return cand.repartition(1).map_batches(local_topk, batch_size=None,
+                                           batch_format="pyarrow")
 
 
 def q3_sql(k: int = 10) -> str:
@@ -683,7 +683,8 @@ def q_top_parts_per_nation(
         df = t.to_pandas().sort_values(["nat", "revenue_cents", "l_partkey"],
                                        ascending=[True, False, True])
         return pa.Table.from_pandas(df.groupby("nat", sort=False).head(k),
-                                    schema=t.schema, preserve_index=False)
+                                    schema=t.schema, preserve_index=False
+                                    ).replace_schema_metadata()
 
     cand = agg.map_batches(local_topk, batch_size=None, batch_format="pyarrow")
 

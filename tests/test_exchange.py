@@ -1,5 +1,5 @@
-"""Tests for the keyed exchange: its partition function, its range
-exchange and the co-partitioned join built on it."""
+"""Tests for the keyed exchange: its partition function, its map/reduce
+task exchange and the co-partitioned join built on it."""
 
 import json
 import os
@@ -137,12 +137,16 @@ def test_keyed_exchange_hot_key(ray_session, schema_warnings, keytype):
     assert schema_warnings == []
 
 
+def _part_table(n_parts=64):
+    """``n_parts * 10`` rows whose part ids cycle through ``n_parts``."""
+    part = np.arange(n_parts * 10, dtype=np.int32) % n_parts
+    return pa.table({"part": part, "x": np.arange(len(part), dtype=np.int64)})
+
+
 def _part_input(n_parts=64, n_blocks=8):
     """Rows tagged with ``n_parts`` part ids, spread over ``n_blocks``
     blocks (each block holds every part)."""
-    part = np.arange(n_parts * 10, dtype=np.int32) % n_parts
-    t = pa.table({"part": part, "x": np.arange(len(part), dtype=np.int64)})
-    return _blocks(t, n_blocks)
+    return _blocks(_part_table(n_parts), n_blocks)
 
 
 def _keep_part(p):
@@ -433,6 +437,62 @@ def test_keyed_aggregate_empty_input(ray_session, untyped):
     out = keyed_aggregate(ds, "k1", _AGGS)
     assert out.count() == 0
     assert out.take_all() == []
+
+
+# ------------------------------------------------- the exchange's plan
+
+def _logged_blocks(t: pa.Table, n: int, log):
+    """``t`` as ``n`` blocks behind a map whose UDF appends one line to
+    the file ``log`` per call (one call per block)."""
+    def logged(b):
+        with open(log, "a") as f:
+            f.write("call\n")
+        return b
+
+    return _blocks(t, n).map_batches(logged, batch_size=None,
+                                     batch_format="pyarrow")
+
+
+@pytest.mark.parametrize("op", ["keyed_aggregate", "part_exchange", "keyed_join"])
+def test_exchange_runs_its_input_once(ray_session, tmp_path, op):
+    """The exchange streams its input's blocks into its map tasks: the
+    upstream map runs exactly once per input block, with no second
+    execution for a part-id probe or a sort."""
+    from deed_ocr_ray.pipelines.exchange import (keyed_aggregate, keyed_join,
+                                                 part_exchange)
+
+    log = tmp_path / "calls"
+    if op == "keyed_aggregate":
+        keys = pa.table({"k": np.arange(600, dtype=np.int64) % 37})
+        out = keyed_aggregate(_logged_blocks(keys, 6, log), "k",
+                              {"n": (None, "count_all")})
+        blocks, rows = 6, 37
+    elif op == "part_exchange":
+        out = part_exchange(_logged_blocks(_part_table(), 6, log), _keep_part(0))
+        blocks, rows = 6, 10
+    else:
+        left, right = _sides("int")
+        out = keyed_join(_logged_blocks(left, 5, log),
+                         _logged_blocks(right, 4, log), "k", right_on="rk")
+        blocks, rows = 9, left.join(right, "k", "rk", "inner").num_rows
+    assert out.count() == rows
+    assert log.read_text().count("call") == blocks
+
+
+def test_exchange_logs_its_shape(ray_session, caplog):
+    """Each exchange logs one DEBUG record of its shape: input rows and
+    blocks, ranges, and the max and median rows per range."""
+    import logging
+
+    from deed_ocr_ray.pipelines.exchange import part_exchange
+
+    with caplog.at_level(logging.DEBUG, logger="deed_ocr_ray.pipelines.exchange"):
+        part_exchange(_part_input(), _keep_part(0))
+    records = [r.getMessage() for r in caplog.records
+               if r.name == "deed_ocr_ray.pipelines.exchange"]
+    # 640 rows over 8 blocks, 64 parts cut into 8 ranges of 8 parts
+    assert records == ["exchange keep_part: 640 rows in 8 blocks, 8 ranges, "
+                       "max 80 / median 80 rows per range"]
 
 
 # ------------------------------------------------------- ordered_offsets

@@ -44,3 +44,60 @@ def test_no_keyed_shuffle_outside_exchange():
              for path in sorted(PKG.rglob("*.py")) if path != EXCHANGE
              for line, form in _keyed_shuffles(path.read_text())]
     assert found == []
+
+
+# the keyed exchange and everything it calls: plain Ray tasks, no Ray
+# Data barrier or all-to-all operator
+KEYED = {"keyed_exchange", "part_exchange", "keyed_aggregate", "keyed_join",
+         "_map_blocks", "_sort_block", "_exchange", "_fold_range",
+         "_part_rows", "_dataset"}
+
+
+def test_keyed_exchange_is_plain_tasks():
+    """No ``sort(``, ``repartition(`` or ``materialize(`` call in the
+    keyed exchange's functions: each would add a Ray Data execution or
+    an all-to-all operator to every keyed aggregate, exchange and join."""
+    tree = ast.parse(EXCHANGE.read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    assert KEYED <= set(defs)
+    found = [f"{name}:{node.lineno}: {node.func.attr}("
+             for name in sorted(KEYED) for node in ast.walk(defs[name])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("sort", "repartition", "materialize")]
+    assert found == []
+
+
+def _bare_from_pandas(source: str):
+    """Lines of the ``Table.from_pandas(...)`` calls in ``source`` whose
+    result is not the receiver of ``.replace_schema_metadata()``."""
+    tree = ast.parse(source)
+    stripped = {id(node.func.value) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "replace_schema_metadata"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "from_pandas" and id(node) not in stripped):
+            owner = node.func.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) == "Table":
+                yield node.lineno
+
+
+def test_from_pandas_scanner():
+    src = ("pa.Table.from_pandas(df)\n"
+           "pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata()\n"
+           "Table.from_pandas(df).select(['a'])\n"
+           "pa.Array.from_pandas(s)\n"
+           "# pa.Table.from_pandas(df)\n")
+    assert list(_bare_from_pandas(src)) == [1, 3]
+
+
+def test_pipeline_tables_carry_no_pandas_metadata():
+    """Every ``Table.from_pandas`` of ``pipelines/`` drops the pandas
+    schema metadata: Ray cannot hash a schema that carries it, and its
+    block concatenation logs "Failed to hash the schemas" in the
+    workers, where the driver-side schema-warning gate does not hear it."""
+    found = [f"{path.relative_to(PKG.parent)}:{line}"
+             for path in sorted((PKG / "pipelines").glob("*.py"))
+             for line in _bare_from_pandas(path.read_text())]
+    assert found == []
