@@ -38,7 +38,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Max, Sum
 from ..sources.pages import read_pq
-from .exchange import _nonempty, keyed_aggregate, keyed_exchange, keyed_join
+from .exchange import keyed_aggregate, keyed_exchange, keyed_join
 
 # ------------------------------------------------------------- exact dedup
 
@@ -813,13 +813,8 @@ def q_neardup_clusters(
     min-label recurrence unrolled over the same artifact; component
     semantics additionally pytest-verified against an in-process
     union-find)."""
-    # the read can yield an empty block, which the next map would
-    # re-emit schema-less (a "different schema" warning): keep the rows
-    blocks = _nonempty(read_pq(minhash_pairs_ckpt_for(sf_dir, min_est),
-                               columns=["doc_a", "doc_b"]).materialize())
-    if not blocks:
-        return ray.data.from_arrow(_EMPTY_CLUSTERS)
-    pairs = ray.data.from_arrow_refs(blocks)
+    pairs = read_pq(minhash_pairs_ckpt_for(sf_dir, min_est),
+                    columns=["doc_a", "doc_b"])
 
     def symmetrize(t: pa.Table) -> pa.Table:
         a = t["doc_a"].combine_chunks()
@@ -831,6 +826,8 @@ def q_neardup_clusters(
 
     # every sweep joins against the edge list: run it once
     edges = pairs.map_batches(symmetrize, batch_format="pyarrow").materialize()
+    if not edges.count():
+        return ray.data.from_arrow(_EMPTY_CLUSTERS)
 
     # initial labels: each node's min neighbour (sweep 0 folded in)
     labels = keyed_aggregate(edges, "node", {"label": ("nbr", "min")})

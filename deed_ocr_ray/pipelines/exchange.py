@@ -20,9 +20,12 @@ The exchange is plain Ray tasks, one Ray execution of the input and no
 Ray Data all-to-all operator: one map task per input block, started as
 the block lands, sorts it by part and returns its per-part row counts;
 the driver reads only those counts, cuts the part ids present into
-ranges (one per input block at most, so no range is empty), and one
+ranges (at most one per input block or per CPU, whichever is more, and
+no more than the part ids present, so no range is empty), and one
 reduce task per range takes each sorted block's rows of its parts,
-sorts them by part and runs the caller's fold.
+sorts them by part and runs the caller's fold. The reduce tasks return
+their output's block metadata with it, so the output Dataset is built
+without another round trip.
 
 This module owns that decision: the partition function, the exchange
 call (:func:`keyed_exchange`, :func:`part_exchange`) and the two
@@ -52,8 +55,17 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 from ray.data._internal.arrow_ops.transform_pyarrow import concat
+from ray.data._internal.logical.interfaces import LogicalPlan
+from ray.data._internal.logical.operators.from_operators import FromArrow
+from ray.data._internal.plan import ExecutionPlan
+from ray.data._internal.stats import DatasetStats
+from ray.data._internal.util import get_table_block_metadata_schema
+from ray.data.block import BlockMetadataWithSchema
+from ray.data.context import DataContext
+from ray.data.dataset import MaterializedDataset
 
 from ..functions.tokens import _plain
+from ..sources.pages import cluster_cpus
 
 # Coarse exchange width: enough partitions that one partition's rows
 # fit a worker heap at corpus scale, few enough that per-partition
@@ -112,16 +124,12 @@ def keyed_exchange(ds: "ray.data.Dataset", key: str,
     return part_exchange(ds.map_batches(tag, batch_format="pyarrow"), fold)
 
 
-def _block_rows(ds: "ray.data.MaterializedDataset") -> list:
-    """``(ref, row count)`` of the blocks of ``ds`` that hold rows, in
-    block order."""
-    return [(ref, meta.num_rows) for b in ds.iter_internal_ref_bundles()
-            for ref, meta in b.blocks if meta.num_rows]
-
-
 def _nonempty(ds: "ray.data.MaterializedDataset") -> list:
-    """Refs of the blocks of ``ds`` that hold rows, in block order."""
-    return [ref for ref, _ in _block_rows(ds)]
+    """``(ref, block metadata)`` of the blocks of ``ds`` that hold rows,
+    in block order, as :func:`_from_blocks` takes them."""
+    return [(ref, BlockMetadataWithSchema(meta, b.schema))
+            for b in ds.iter_internal_ref_bundles()
+            for ref, meta in b.blocks if meta.num_rows]
 
 
 @ray.remote(num_returns=2)
@@ -138,14 +146,15 @@ def _sort_block(block: pa.Table, key: str | None) -> tuple:
 @ray.remote(num_returns=2)
 def _fold_range(fold: Callable, sides: int, spans: list, *blocks) -> tuple:
     """Reduce task of the exchange: ``fold`` over one range of parts,
-    and the row count of its output. ``fold`` gets one list per input
-    side of the range's slices of the sorted blocks, in block order;
-    ``spans`` holds the ``(side, first row, end row)`` of each block."""
+    and the block metadata (rows, schema) of its output. ``fold`` gets
+    one list per input side of the range's slices of the sorted blocks,
+    in block order; ``spans`` holds the ``(side, first row, end row)``
+    of each block."""
     slices = [[] for _ in range(sides)]
     for (side, lo, hi), block in zip(spans, blocks):
         slices[side].append(block.slice(lo, hi - lo))
     out = fold(*slices)
-    return out, out.num_rows
+    return out, get_table_block_metadata_schema(out)
 
 
 def _part_rows(slices: list) -> pa.Table:
@@ -173,15 +182,17 @@ def _map_blocks(ds: "ray.data.Dataset", key: str | None = None) -> tuple:
 def _exchange(sides: list, fold: Callable, ranges: int = 0) -> list:
     """The exchange's reduce half over the map tasks of one or more
     input ``sides`` (:func:`_map_blocks`). The part ids present are cut
-    into at most ``ranges`` ranges (default: one per input block), so
-    no range is empty, and one :func:`_fold_range` task per range runs
-    ``fold``. Only the per-block part counts reach the driver. Returns
-    ``(output ref, rows)`` per range, in part order."""
+    into as many ranges as ``ranges`` (default: the input blocks) or
+    the cluster's CPUs, whichever is more, but no more than there are
+    part ids, so no range is empty; one :func:`_fold_range` task per
+    range runs ``fold``. A one-block input still folds on every CPU.
+    Only the per-block part counts reach the driver. Returns
+    ``(output ref, block metadata)`` per range, in part order."""
     maps = [(side, *refs) for side, ms in enumerate(sides) for refs in ms]
     counts = ray.get([c for _, _, c in maps])
     present = np.unique(np.concatenate(
         [np.empty(0, dtype=np.int32), *(ids for ids, _ in counts)]))
-    n = min(len(present), ranges or len(maps))
+    n = min(len(present), max(ranges or len(maps), cluster_cpus()))
     cuts = present[np.arange(1, n) * len(present) // n]
     # edges[b][r]: the first row of range r in sorted block b
     edges = [np.r_[0, np.cumsum(c)][np.r_[0, np.searchsorted(ids, cuts), len(ids)]]
@@ -200,8 +211,25 @@ def _exchange(sides: list, fold: Callable, ranges: int = 0) -> list:
               "max %d / median %d rows per range", fold.__name__,
               sum(range_rows), len(maps), n, max(range_rows, default=0),
               int(np.median(range_rows)) if range_rows else 0)
-    rows = ray.get([k for _, k in outs])
-    return [(ref, k) for (ref, _), k in zip(outs, rows)]
+    metas = ray.get([m for _, m in outs])
+    return [(ref, m) for (ref, _), m in zip(outs, metas)]
+
+
+def _from_blocks(blocks: list) -> "ray.data.MaterializedDataset":
+    """A Dataset of ``(block ref, block metadata)`` pairs, built as
+    ``ray.data.from_arrow_refs`` builds it but from metadata already in
+    hand (it launches one metadata task per block)."""
+    refs, metas = (list(x) for x in zip(*blocks))
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": metas}, parent=None),
+        DataContext.get_current().copy())
+    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas),
+                                                 plan._context))
+
+
+def _local(table: pa.Table) -> tuple:
+    """``table`` as a ``(block ref, block metadata)`` pair."""
+    return ray.put(table), get_table_block_metadata_schema(table)
 
 
 def _dataset(outs: list) -> "ray.data.Dataset":
@@ -210,8 +238,8 @@ def _dataset(outs: list) -> "ray.data.Dataset":
     schema" warning). When every range folds to nothing, one empty
     output (typed when the fold's is); without any range (no input
     row), an untyped empty Dataset."""
-    refs = [ref for ref, k in outs if k] or [ref for ref, _ in outs[:1]]
-    return ray.data.from_arrow_refs(refs or [ray.put(pa.table({}))])
+    blocks = [b for b in outs if b[1].num_rows] or outs[:1]
+    return _from_blocks(blocks or [_local(pa.table({}))])
 
 
 def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
@@ -341,7 +369,7 @@ def keyed_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
         return _dataset([])
     out = own[0].empty_table().join(own[1].empty_table(), on, right_on, how)
     if no_rows:
-        return ray.data.from_arrow(out)
+        return _from_blocks([_local(out)])
 
     def merge(lslices: list, rslices: list) -> pa.Table:
         lt, rt = (pa.concat_tables([sch.empty_table()] + [
@@ -359,14 +387,16 @@ def _weight_sum(block: pa.Table, weight: str) -> int:
     return int(pc.sum(block[weight]).as_py() or 0)
 
 
-@ray.remote
-def _stamp(block: pa.Table, column: str, start: int, weight) -> pa.Table:
+@ray.remote(num_returns=2)
+def _stamp(block: pa.Table, column: str, start: int, weight) -> tuple:
     """``block`` with an int64 ``column``: ``start`` plus the exclusive
-    running sum of ``weight`` (of 1 per row when ``weight`` is None)."""
+    running sum of ``weight`` (of 1 per row when ``weight`` is None),
+    and its block metadata."""
     w = (np.ones(block.num_rows, dtype=np.int64) if weight is None
          else block[weight].fill_null(0).to_numpy().astype(np.int64))
-    return block.append_column(
+    out = block.append_column(
         column, pa.array(start + np.cumsum(w) - w, type=pa.int64()))
+    return out, get_table_block_metadata_schema(out)
 
 
 def ordered_offsets(ds: "ray.data.Dataset", by, column: str, *,
@@ -386,8 +416,9 @@ def ordered_offsets(ds: "ray.data.Dataset", by, column: str, *,
     per-block totals (row counts from block metadata, or one small
     ``sum(weight)`` task per block) fold into exclusive block offsets
     on the driver, and one plain task per non-empty block stamps
-    ``offset + running sum``. No row crosses a second exchange and only
-    one number per block reaches the driver.
+    ``offset + running sum`` and returns the stamped block's metadata,
+    from which the output is built. No row crosses a second exchange;
+    only a total and a block metadata per block reach the driver.
 
     Runs ``ds`` before returning. The output is materialized (its
     ``count()`` is free) and has no empty block. An empty output is one
@@ -395,18 +426,19 @@ def ordered_offsets(ds: "ray.data.Dataset", by, column: str, *,
     drops the schema of empty output, so the input runs once more for
     it), or untyped when the input is."""
     ordered = ds.sort(by, descending=descending).materialize()
-    blocks = _block_rows(ordered)
+    blocks = _nonempty(ordered)
     if not blocks:
         # Ray's sort leaves no schema on empty output: take the input's
         schema = ds.schema()
         if schema is None:
             return ordered
-        return ray.data.from_arrow(
-            schema.base_schema.append(pa.field(column, pa.int64())).empty_table())
+        return _from_blocks([_local(schema.base_schema.append(
+            pa.field(column, pa.int64())).empty_table())])
     refs = [ref for ref, _ in blocks]
-    totals = ([rows for _, rows in blocks] if weight is None
+    totals = ([meta.num_rows for _, meta in blocks] if weight is None
               else ray.get([_weight_sum.remote(ref, weight) for ref in refs]))
     starts = np.cumsum([0] + totals[:-1]).tolist()
-    return ray.data.from_arrow_refs(
-        [_stamp.remote(ref, column, start, weight)
-         for ref, start in zip(refs, starts)])
+    stamped = [_stamp.remote(ref, column, start, weight)
+               for ref, start in zip(refs, starts)]
+    metas = ray.get([meta for _, meta in stamped])
+    return _from_blocks([(ref, meta) for (ref, _), meta in zip(stamped, metas)])

@@ -48,7 +48,7 @@ import ray
 import ray.data
 from ray.data._internal.execution.interfaces import TaskContext
 
-from ..sources.pages import find_shards, read_pq
+from ..sources.pages import find_shards, read_pages, read_pq
 from ..stages.extract import Extractor
 from ..state.manifest import (
     PartitionManifest,
@@ -224,9 +224,10 @@ def _run_extract_inner(
 
     if pending:
         # ONE Ray execution for every pending part: read, extract and
-        # write fuse into one task stage whose only output is stats rows.
+        # write fuse into one task stage whose only output is stats rows
+        # (Ray's read plan: its split spreads a few files over the CPUs).
         path_to_part = {f: pid for pid in pending for f in parts[pid]}
-        ds = read_pq(sorted(path_to_part), include_paths=True)
+        ds = read_pages(sorted(path_to_part), include_paths=True)
         ds = extract_dataset(
             ds,
             path_to_part=path_to_part,
@@ -387,7 +388,7 @@ def dump_page_debug(input_path: Union[str, Sequence[str]], dest: str) -> Dict[st
     if not shards:
         raise FileNotFoundError(f"no input shards under {input_path!r}")
     os.makedirs(dest, exist_ok=True)
-    ds = read_pq(shards, columns=["url", "html"])
+    ds = read_pages(shards, columns=["url", "html"])
 
     def dump(t: "pa.Table") -> "pa.Table":
         n_docs = n_pages = 0

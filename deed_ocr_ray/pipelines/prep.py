@@ -23,7 +23,7 @@ import ray.data
 
 from ..sources.pages import read_pq
 from .corpus import pages_corpus_for
-from .exchange import _nonempty, keyed_exchange
+from .exchange import _from_blocks, _nonempty, keyed_exchange
 from .extract_pipeline import extract_dataset
 from .packing import WINDOW_TOKENS, pack_tokens
 from ..sources.pages import read_pages
@@ -276,7 +276,7 @@ def paragraph_dedup_dataset(extracted: "ray.data.Dataset") -> "ray.data.Dataset"
     # Its 0-row blocks (batches with no ok row) go: a map over an empty
     # block emits a schema-less one ("different schema" warning)
     ok = extracted.map_batches(ok_slim, batch_format="pyarrow").materialize()
-    ok = ray.data.from_arrow_refs(_nonempty(ok)) if ok.count() else ok
+    ok = _from_blocks(_nonempty(ok)) if ok.count() else ok
 
     # ---- pass A (slim): fingerprints only through the fp exchange
     def explode_keys(t: pa.Table) -> pa.Table:

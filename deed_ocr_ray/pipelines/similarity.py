@@ -524,7 +524,11 @@ def q_pca_project(sf_dir: str, k: int = PCA_COMPONENTS) -> "ray.data.Dataset":
     ``ray.put`` and the projection pass is a single vectorized
     ``map_batches`` matmul. Columns: vec_id, label, pc0..pc{k-1}.
     (No SQL oracle: eigendecomposition — rows-only check; exactness vs
-    single-machine numpy PCA asserted in tests.)"""
+    single-machine numpy PCA asserted in tests.) The last float bits
+    follow the read's block count: ``pca_fit`` sums one moment partial
+    per block, and how many blocks a read gives depends on the table's
+    file count and the cluster's CPUs (:func:`read_pq`), so the values'
+    hash can change with the CPU count while the rows do not."""
     mean, comps, _ = pca_fit(sf_dir, k)
     ref = ray.put((mean, comps))
 

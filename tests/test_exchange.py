@@ -495,6 +495,55 @@ def test_exchange_logs_its_shape(ray_session, caplog):
                        "max 80 / median 80 rows per range"]
 
 
+def test_exchange_cuts_ranges_per_cpu(ray_session, caplog):
+    """A one-block input still folds on every CPU: its 64 parts are cut
+    into one range per CPU of the 4-CPU session, not one per block."""
+    import logging
+
+    from deed_ocr_ray.pipelines.exchange import part_exchange
+
+    with caplog.at_level(logging.DEBUG, logger="deed_ocr_ray.pipelines.exchange"):
+        out = part_exchange(_part_input(n_blocks=1), _keep_part(0))
+    records = [r.getMessage() for r in caplog.records
+               if r.name == "deed_ocr_ray.pipelines.exchange"]
+    assert records == ["exchange keep_part: 640 rows in 1 blocks, 4 ranges, "
+                       "max 160 / median 160 rows per range"]
+    assert sorted(out.to_pandas()["x"]) == list(range(0, 640, 64))
+
+
+def test_exchange_output_needs_no_metadata_tasks(ray_session, monkeypatch):
+    """The reduce tasks return their output's block metadata, so an
+    exchange's output answers ``count()`` and ``schema()`` without
+    ``ray.data.from_arrow_refs`` (one metadata task per block)."""
+    import ray.data
+
+    from deed_ocr_ray.pipelines.exchange import (keyed_aggregate, keyed_join,
+                                                 ordered_offsets, part_exchange)
+
+    def refuse(*a, **k):
+        raise AssertionError("from_arrow_refs called")
+
+    monkeypatch.setattr(ray.data, "from_arrow_refs", refuse)
+    keys = pa.table({"k": np.arange(600, dtype=np.int64) % 37})
+    agg = keyed_aggregate(_blocks(keys, 3), "k", {"n": (None, "count_all")})
+    assert agg.count() == 37 and agg.schema().names == ["k", "n"]
+    left, right = _sides("int")
+    joined = keyed_join(_blocks(left, 3), _blocks(right, 2), "k", right_on="rk")
+    assert joined.count() == left.join(right, "k", "rk", "inner").num_rows
+    assert joined.schema().names == ["k", "x", "y", "z"]
+    kept = part_exchange(_part_input(), _keep_part(0))
+    assert kept.count() == 10 and kept.schema().names == ["part", "x"]
+    # every range folds to nothing: one typed-empty block
+    none = part_exchange(_part_input(), _keep_part(-1))
+    assert none.count() == 0 and none.schema().names == ["part", "x"]
+    # no input row: an untyped empty Dataset
+    empty = part_exchange(_part_input().filter(expr="x < 0"), _keep_part(0))
+    assert empty.count() == 0 and empty.schema() is None
+    # ordered_offsets' stamp tasks return their metadata too
+    ranked = ordered_offsets(_blocks(keys, 3), "k", "rank")
+    assert ranked.count() == 600 and ranked.schema().names == ["k", "rank"]
+
+
 # ------------------------------------------------------- ordered_offsets
 
 def _scan_input(n=4000):

@@ -96,18 +96,46 @@ def test_one_ray_execution_per_job(ray_session, corpus_dir, tmp_path, monkeypatc
     from deed_ocr_ray.pipelines import extract_pipeline as ep
 
     calls = []
-    real = ep.read_pq
+    real = ep.read_pages
 
     def counting(*a, **k):
         calls.append(a)
         return real(*a, **k)
 
-    monkeypatch.setattr(ep, "read_pq", counting)
+    monkeypatch.setattr(ep, "read_pages", counting)
     out = str(tmp_path / "out")
     summary = ep.run_extract(corpus_dir, out, files_per_part=2, wave_parts=2, concurrency=2)
     assert len(calls) == 1
     assert sorted(load_manifests(out)) == [0, 1, 2]
     assert summary["n_rows"] == SF_TEST["n_rows"]
+
+
+def test_job_read_keeps_ray_plan(ray_session, corpus_dir, tmp_path, monkeypatch):
+    """The job read keeps Ray's read plan, not the one-block-per-file
+    table read: to reach Ray's floor of 2 × 4 CPUs blocks, its 6 files
+    split into 2 blocks each, so the Extractor runs on every CPU, and
+    the split read runs as its own operator before the fused
+    extract-and-write stage."""
+    import re
+
+    import ray.data
+
+    from deed_ocr_ray.pipelines import extract_pipeline as ep
+
+    iterated = []
+    real = ray.data.Dataset.iter_batches
+
+    def recording(self, *a, **k):
+        iterated.append(self)
+        return real(self, *a, **k)
+
+    monkeypatch.setattr(ray.data.Dataset, "iter_batches", recording)
+    ep.run_extract(corpus_dir, str(tmp_path / "out"), files_per_part=2,
+                   wave_parts=2, concurrency=2)
+    ops = re.findall(r"Operator \d+ (.*?): (\d+) tasks executed, (\d+) blocks",
+                     iterated[-1].stats())
+    assert ops == [("ReadParquet->SplitBlocks(2)", "6", "12"),
+                   ("MapBatches(Extractor)->MapBatches(_PartWriter)", "12", "12")]
 
 
 def test_part_writer_retry_overwrites_its_files(tmp_path):
