@@ -30,12 +30,6 @@ DOCS_MULT = int(os.environ.get("GRAFT_BENCH_DOCS_MULT", "40"))
 BENCH_SEED = 1337
 
 # queries() entries timed in default mode (moderate cost, wide coverage).
-# Shuffle-free map queries run LAST: Ray's sampled sorts (the
-# remaining ``sort().limit()`` top-k sites; every keyed exchange goes
-# through ``pipelines/exchange.py``) can log benign "RefBundle with a
-# different schema" warnings for the empty ranges they create
-# internally (zero-column bundles, not operator UDF output), so ending
-# on map-only queries keeps the recorded stderr tail meaningful.
 BENCH_QUERIES = [
     "q1_pricing_summary",
     "nation_revenue",
@@ -88,7 +82,7 @@ BENCH_QUERIES = [
     "cluster_keep_best",
     "training_prep",
     "posting_pairs",
-    # map-only tail (see note above)
+    # map-only queries
     "token_count",
     "quality_score",
     "stratified_split",

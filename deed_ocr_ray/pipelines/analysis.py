@@ -30,8 +30,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 from ..sources.pages import read_pq
-from .exchange import (PARTS, keyed_aggregate, keyed_exchange, keyed_join,
-                       ordered_offsets, part_exchange, part_ids)
+from .exchange import (PARTS, gather, keyed_aggregate, keyed_exchange,
+                       keyed_join, ordered_offsets, part_exchange, part_ids)
 
 
 # ------------------------------------- duplicate n-gram span coverage
@@ -359,7 +359,7 @@ def _fine_region_nation_revenue(sf_dir: str) -> "ray.data.Dataset":
 
 def _grain_expand(fine: "ray.data.Dataset", grains) -> "ray.data.Dataset":
     """Fan each finest-grain row out to its coarser grain keys and fold
-    — the dimension-bounded (tiny) single-block tail shared by ROLLUP
+    — the dimension-bounded (tiny) ``exchange.gather`` tail shared by ROLLUP
     and CUBE. ``grains(region, nation)`` yields the output keys each
     fine row contributes to."""
 
@@ -385,16 +385,15 @@ def _grain_expand(fine: "ray.data.Dataset", grains) -> "ray.data.Dataset":
                 pa.array([float(rows[k][0]) for k in keys], type=pa.float64()), 100.0),
         })
 
-    return fine.repartition(1).map_batches(expand, batch_format="pyarrow",
-                                           batch_size=None)
+    return gather(fine, expand)
 
 
 def q_revenue_rollup(sf_dir: str) -> "ray.data.Dataset":
     """Order revenue at three grains in one result — (region, nation),
     (region, ALL), (ALL, ALL) — the GROUP BY ROLLUP analogue. The wide
     work happens ONCE at the finest grain; the coarser grains are
-    derived from the finest aggregate (dimension-bounded, tiny) in a
-    single-block pass, never re-scanning the fact table. Columns:
+    derived from the finest aggregate (dimension-bounded, tiny) in one
+    ``exchange.gather``, never re-scanning the fact table. Columns:
     region, nation, n_orders, revenue.
     """
     return _grain_expand(
@@ -422,8 +421,9 @@ def q_corr_qty_discount(sf_dir: str) -> "ray.data.Dataset":
     """Pearson correlation of quantity vs discount over lineitem via
     one-pass MERGEABLE integer moments (n, Σx, Σy, Σx², Σy², Σxy) —
     the textbook distributed-statistics fold: per-batch partial sums,
-    one 6-integer reduce, and the final float is computed with the
-    SAME IEEE op tree as the oracle (bit-identical, verified).
+    one 6-integer reduce (``exchange.gather``), and the final float is
+    computed with the SAME IEEE op tree as the oracle (bit-identical,
+    verified).
     Discount is centi-scaled to an exact integer. Overflow headroom:
     Σx² ≤ 2500·n fits int64 beyond 10^15 rows.
     Columns: n, sx, sy, sxx, syy, sxy, corr_xy.
@@ -432,42 +432,27 @@ def q_corr_qty_discount(sf_dir: str) -> "ray.data.Dataset":
     ds = read_pq(f"{sf_dir}/lineitem.parquet",
                                columns=["l_quantity", "l_discount"])
 
+    names = ["n", "sx", "sy", "sxx", "syy", "sxy"]
+
     def moments(t: pa.Table) -> pa.Table:
         x = t["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64)
         y = np.floor(t["l_discount"].to_numpy(zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        return pa.table({
-            "n": pa.array([len(x)], type=pa.int64()),
-            "sx": pa.array([int(x.sum())], type=pa.int64()),
-            "sy": pa.array([int(y.sum())], type=pa.int64()),
-            "sxx": pa.array([int((x * x).sum())], type=pa.int64()),
-            "syy": pa.array([int((y * y).sum())], type=pa.int64()),
-            "sxy": pa.array([int((x * y).sum())], type=pa.int64()),
-        })
+        sums = [len(x), x.sum(), y.sum(), (x * x).sum(), (y * y).sum(), (x * y).sum()]
+        return pa.table({c: pa.array([int(v)], type=pa.int64())
+                         for c, v in zip(names, sums)})
 
     def finish(t: pa.Table) -> pa.Table:
-        n = sum(t["n"].to_pylist())
-        sx = sum(t["sx"].to_pylist())
-        sy = sum(t["sy"].to_pylist())
-        sxx = sum(t["sxx"].to_pylist())
-        syy = sum(t["syy"].to_pylist())
-        sxy = sum(t["sxy"].to_pylist())
+        sums = [sum(t[c].to_pylist()) for c in names]
+        n, sx, sy, sxx, syy, sxy = sums
         # same op tree as the oracle: CAST-to-double then *, -, sqrt, /
         num = float(n) * float(sxy) - float(sx) * float(sy)
         den = math.sqrt(float(n) * float(sxx) - float(sx) * float(sx)) * \
             math.sqrt(float(n) * float(syy) - float(sy) * float(sy))
-        return pa.table({
-            "n": pa.array([n], type=pa.int64()),
-            "sx": pa.array([sx], type=pa.int64()),
-            "sy": pa.array([sy], type=pa.int64()),
-            "sxx": pa.array([sxx], type=pa.int64()),
-            "syy": pa.array([syy], type=pa.int64()),
-            "sxy": pa.array([sxy], type=pa.int64()),
-            "corr_xy": pa.array([num / den], type=pa.float64()),
-        })
+        return pa.table({c: pa.array([v], type=pa.int64())
+                         for c, v in zip(names, sums)}).append_column(
+            "corr_xy", pa.array([num / den], type=pa.float64()))
 
-    parts = ds.map_batches(moments, batch_format="pyarrow")
-    return parts.repartition(1).map_batches(finish, batch_format="pyarrow",
-                                            batch_size=None)
+    return gather(ds.map_batches(moments, batch_format="pyarrow"), finish)
 
 
 # ----------------------------------------------------- 7-day retention
@@ -545,6 +530,26 @@ Q_RETENTION_SQL = retention_sql()
 
 # ------------------------------------- interpolated percentiles (cont)
 
+def _percentiles_cont(qty: np.ndarray, cnt: np.ndarray, qs) -> tuple:
+    """``(n, [percentile_cont(q) for q in qs])`` over the multiset that
+    holds each distinct value of ``qty`` ``cnt`` times: DuckDB's rank
+    ``q*(n-1)`` over the sorted multiset, with linear interpolation
+    between the two order statistics around it."""
+    order = np.argsort(qty)
+    vals = qty[order].astype(np.float64)
+    cum = np.cumsum(cnt[order])
+    n = int(cum[-1])
+    out = []
+    for q in qs:
+        rank = q * (n - 1)
+        lo = int(math.floor(rank))
+        hi = min(lo + 1, n - 1)
+        x_lo = float(vals[np.searchsorted(cum, lo + 1)])
+        x_hi = float(vals[np.searchsorted(cum, hi + 1)])
+        out.append(x_lo + (x_hi - x_lo) * (rank - lo))
+    return n, out
+
+
 def q_quantity_percentiles(sf_dir: str) -> "ray.data.Dataset":
     """Interpolated (percentile_cont-semantics) p25/p50/p75/p90 of
     lineitem quantity — completes the quantile family (exact discrete:
@@ -552,7 +557,7 @@ def q_quantity_percentiles(sf_dir: str) -> "ray.data.Dataset":
     ``windows.q_price_quantile_sketch``) with an EXACT continuous
     variant that still scales: quantity's value domain is bounded, so
     the pipeline counts each value with one keyed aggregate (at most
-    |domain| slim rows), and one reduce task interpolates
+    |domain| slim rows), and one ``exchange.gather`` interpolates
     from the cumulative counts. Nothing sorts raw rows anywhere. The
     interpolation (``lo + (hi-lo)*(rank-floor(rank))`` at rank
     ``q*(n-1)``) uses the same IEEE op tree as DuckDB's
@@ -571,34 +576,13 @@ def q_quantity_percentiles(sf_dir: str) -> "ray.data.Dataset":
                           "qty", {"cnt": (None, "count_all")})
 
     def interpolate(t: pa.Table) -> pa.Table:
-        order = np.argsort(t["qty"].to_numpy())
-        vals = t["qty"].to_numpy()[order].astype(np.float64)
-        cnt = np.asarray(t["cnt"].to_pylist())[order]
-        cum = np.cumsum(cnt)
-        n = int(cum[-1]) if len(cum) else 0
+        n, ps = _percentiles_cont(t["qty"].to_numpy(), t["cnt"].to_numpy(),
+                                  (0.25, 0.5, 0.75, 0.9))
+        return pa.table({"n": pa.array([n], type=pa.int64()),
+                         **{c: pa.array([v], type=pa.float64())
+                            for c, v in zip(["p25", "p50", "p75", "p90"], ps)}})
 
-        def pct(q: float) -> float:
-            # DuckDB percentile_cont: rank q*(n-1) over the sorted
-            # multiset; linear interpolation between the two order stats
-            if n == 0:
-                return 0.0
-            rank = q * (n - 1)
-            lo = int(math.floor(rank))
-            hi = min(lo + 1, n - 1)
-            x_lo = float(vals[np.searchsorted(cum, lo + 1)])
-            x_hi = float(vals[np.searchsorted(cum, hi + 1)])
-            return x_lo + (x_hi - x_lo) * (rank - lo)
-
-        return pa.table({
-            "n": pa.array([n], type=pa.int64()),
-            "p25": pa.array([pct(0.25)], type=pa.float64()),
-            "p50": pa.array([pct(0.5)], type=pa.float64()),
-            "p75": pa.array([pct(0.75)], type=pa.float64()),
-            "p90": pa.array([pct(0.9)], type=pa.float64()),
-        })
-
-    return agg.repartition(1).map_batches(interpolate, batch_format="pyarrow",
-                                          batch_size=None)
+    return gather(agg, interpolate)
 
 
 Q_QUANTITY_PERCENTILES_SQL = """
@@ -636,7 +620,7 @@ def q_grouped_percentiles(sf_dir: str) -> "ray.data.Dataset":
     [[q_quantity_percentiles]] — same value counts over the bounded
     quantity domain, keyed by (flag, qty), then a per-flag
     interpolation. The counts table is at most |flags| × |domain| slim
-    rows, so the interpolation is one task over one block.
+    rows, so the interpolation is one ``exchange.gather``.
     Columns: l_returnflag, n, p50, p90.
     """
 
@@ -650,27 +634,13 @@ def q_grouped_percentiles(sf_dir: str) -> "ray.data.Dataset":
     agg = keyed_aggregate(ds.map_batches(qty, batch_format="pyarrow"),
                           ["l_returnflag", "qty"], {"cnt": (None, "count_all")})
 
-    def interpolate(g: pd.DataFrame) -> tuple:
-        g = g.sort_values("qty")
-        vals = g["qty"].to_numpy().astype(np.float64)
-        cum = np.cumsum(g["cnt"].to_numpy())
-        n = int(cum[-1])
-
-        def pct(q: float) -> float:
-            rank = q * (n - 1)
-            lo = int(math.floor(rank))
-            hi = min(lo + 1, n - 1)
-            x_lo = float(vals[np.searchsorted(cum, lo + 1)])
-            x_hi = float(vals[np.searchsorted(cum, hi + 1)])
-            return x_lo + (x_hi - x_lo) * (rank - lo)
-
-        return n, pct(0.5), pct(0.9)
-
     def per_flag(t: pa.Table) -> pa.Table:
         flags, rows = [], []
         for flag, g in t.to_pandas().groupby("l_returnflag", sort=False):
+            n, ps = _percentiles_cont(g["qty"].to_numpy(), g["cnt"].to_numpy(),
+                                      (0.5, 0.9))
             flags.append(flag)
-            rows.append(interpolate(g))
+            rows.append((n, *ps))
         n, p50, p90 = zip(*rows)
         return pa.table({
             "l_returnflag": pa.array(flags, type=pa.string()),
@@ -679,8 +649,7 @@ def q_grouped_percentiles(sf_dir: str) -> "ray.data.Dataset":
             "p90": pa.array(p90, type=pa.float64()),
         })
 
-    return agg.repartition(1).map_batches(per_flag, batch_size=None,
-                                          batch_format="pyarrow")
+    return gather(agg, per_flag)
 
 
 Q_GROUPED_PERCENTILES_SQL = """
@@ -817,7 +786,7 @@ def q_revenue_cube(sf_dir: str) -> "ray.data.Dataset":
     """GROUP BY CUBE(region, nation): all four grains — (region,
     nation), (region, ALL), (ALL, nation), (ALL, ALL) — from ONE scan
     of the fact table, sharing [[q_revenue_rollup]]'s finest-grain
-    aggregate and tiny single-block grain expansion. The extra grain
+    aggregate and tiny gathered grain expansion. The extra grain
     vs ROLLUP, (ALL, nation), costs nothing at scale: it is derived
     from the dimension-bounded fine aggregate, not the fact table.
     Columns: region, nation, n_orders, revenue.

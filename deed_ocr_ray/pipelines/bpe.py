@@ -35,7 +35,7 @@ import pyarrow as pa
 import ray
 import ray.data
 from ..sources.pages import read_pq
-from .exchange import keyed_aggregate
+from .exchange import keyed_aggregate, top_k
 
 END = "</w>"  # end-of-word marker (Sennrich convention)
 
@@ -116,11 +116,11 @@ def distributed_word_counts(sf_dir: str) -> "ray.data.Dataset":
 
 def bpe_fit(sf_dir: str, n_merges: int = BPE_MERGES,
             max_words: int = BPE_MAX_WORDS) -> List[Tuple[str, str]]:
-    """Distributed word count → top-``max_words`` head → driver merge
-    loop. Only ``max_words`` slim rows ever reach the driver."""
-    head = (distributed_word_counts(sf_dir)
-            .sort(["cnt", "word"], descending=[True, False])
-            .limit(max_words).take_all())
+    """Distributed word count → top-``max_words`` head
+    (``exchange.top_k``) → driver merge loop. Only ``max_words`` slim
+    rows ever reach the driver."""
+    head = top_k(distributed_word_counts(sf_dir), ["cnt", "word"], max_words,
+                 descending=[True, False]).take_all()
     return bpe_train_on_counts([(r["word"], r["cnt"]) for r in head], n_merges)
 
 

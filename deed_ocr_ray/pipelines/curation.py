@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 from ..sources.pages import read_pq
-from .exchange import keyed_aggregate, keyed_exchange, ordered_offsets
+from .exchange import gather, keyed_aggregate, keyed_exchange, ordered_offsets
 
 # ------------------------------------------------- stratified hash split
 
@@ -295,7 +295,8 @@ def q_term_stats(sf_dir: str, min_len: int = 7, k: int = 50) -> "ray.data.Datase
     log(n_docs/df) is one float away, computed client-side; keeping the
     operator integer-exact makes it oracle-hashable). Each doc is one
     row, so per-batch (term, doc) rows are globally distinct: df is a
-    count and tf a sum in ONE keyed aggregate.
+    count and tf a sum in ONE keyed aggregate, and one
+    ``exchange.gather`` keeps the top ``k`` by (df desc, term asc).
     Columns: term, df, tf, n_docs."""
     ds = read_pq(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
@@ -321,15 +322,13 @@ def q_term_stats(sf_dir: str, min_len: int = 7, k: int = 50) -> "ray.data.Datase
 
     agg = keyed_aggregate(ds.map_batches(pairs, batch_format="pyarrow"),
                           "term", {"df": (None, "count_all"), "tf": ("cnt", "sum")})
-    def top_k(t: pa.Table) -> pa.Table:
+
+    def top_terms(t: pa.Table) -> pa.Table:
         top = t.sort_by([("df", "descending"), ("term", "ascending")]).slice(0, k)
         return top.append_column(
             "n_docs", pa.array([n_docs] * top.num_rows, type=pa.int64()))
 
-    # one block holding the (vocabulary-sized) aggregate, not Ray's
-    # sort + limit: the sort's empty range partitions are schema-less
-    # blocks, which every downstream operator re-emits
-    return agg.repartition(1).map_batches(top_k, batch_format="pyarrow")
+    return gather(agg, top_terms)
 
 
 def term_stats_sql(min_len: int = 7, k: int = 50) -> str:

@@ -38,7 +38,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Max, Sum
 from ..sources.pages import read_pq
-from .exchange import keyed_aggregate, keyed_exchange, keyed_join
+from .exchange import gather, keyed_aggregate, keyed_exchange, keyed_join
 
 # ------------------------------------------------------------- exact dedup
 
@@ -704,9 +704,9 @@ def hll_estimate(regs: np.ndarray) -> float:
 def q_hll_users(sf_dir: str) -> "ray.data.Dataset":
     """Approximate distinct user count over events via a mergeable
     HyperLogLog: each batch emits its 4 KiB register array; partial
-    sketches max-merge in a REDUCE TASK (``repartition(1)`` over 4 KiB
-    rows — at cluster scale, add intermediate repartition levels for a
-    tree reduce). Nothing touches the driver; the operator emits its
+    sketches max-merge in a REDUCE TASK (``exchange.gather`` over 4 KiB
+    rows — at cluster scale, add intermediate levels for a tree
+    reduce). Nothing touches the driver; the operator emits its
     estimate only — the estimate-vs-exact audit lives in the test suite
     (``tests/test_ops.py``), not inside the operator.
     Columns: estimate, nonzero_registers, n_registers. (No SQL oracle:
@@ -727,10 +727,7 @@ def q_hll_users(sf_dir: str) -> "ray.data.Dataset":
             "n_registers": pa.array([1 << HLL_P], type=pa.int64()),
         })
 
-    parts = ds.map_batches(sketch, batch_format="pyarrow")
-    return parts.repartition(1).map_batches(
-        merge, batch_format="pyarrow", batch_size=None
-    )
+    return gather(ds.map_batches(sketch, batch_format="pyarrow"), merge)
 
 
 # ----------------------------------------------- minhash estimate validation
@@ -848,7 +845,7 @@ def q_neardup_clusters(
         )
         # materialized once for the convergence sum and the next sweep
         labels = keyed_aggregate(labels.union(msgs), "node",
-                                 {"label": ("label", "min")}).materialize()
+                                 {"label": ("label", "min")})
         cur_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
         if cur_sum == prev_sum:  # monotone fixpoint reached
             break

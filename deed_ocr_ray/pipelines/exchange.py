@@ -43,6 +43,15 @@ running-summing rows in a total order (SQL ``ROW_NUMBER`` /
 :func:`ordered_offsets` does it with one sort and block offsets folded
 on the driver — every window packing, global rank and token budget
 goes through it.
+
+Two global operations need no key at all: a single reduce and a
+top-k. :func:`gather` runs a fold once over every row, concatenated
+in block order, in one plain task (a sketch merge, a global quantile,
+a moving window over a small aggregate); :func:`top_k` cuts each block
+to its own top ``k`` in one task per block as the block lands, then
+gathers the candidates through the same cut. Neither is a Ray Data
+all-to-all operator: no ``repartition(1)`` barrier and no sampled
+``sort`` whose empty ranges come out as schema-less blocks.
 """
 
 from __future__ import annotations
@@ -55,12 +64,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 from ray.data._internal.arrow_ops.transform_pyarrow import concat
+from ray.data._internal.execution.interfaces import RefBundle
 from ray.data._internal.logical.interfaces import LogicalPlan
 from ray.data._internal.logical.operators.from_operators import FromArrow
 from ray.data._internal.plan import ExecutionPlan
 from ray.data._internal.stats import DatasetStats
 from ray.data._internal.util import get_table_block_metadata_schema
-from ray.data.block import BlockMetadataWithSchema
+from ray.data.block import BlockMetadataWithSchema, _take_first_non_empty_schema
 from ray.data.context import DataContext
 from ray.data.dataset import MaterializedDataset
 
@@ -218,13 +228,20 @@ def _exchange(sides: list, fold: Callable, ranges: int = 0) -> list:
 def _from_blocks(blocks: list) -> "ray.data.MaterializedDataset":
     """A Dataset of ``(block ref, block metadata)`` pairs, built as
     ``ray.data.from_arrow_refs`` builds it but from metadata already in
-    hand (it launches one metadata task per block)."""
+    hand (it launches one metadata task per block), with its blocks
+    recorded as the plan's output the way ``materialize()`` records
+    them: reading its blocks again starts no Ray Data executor."""
     refs, metas = (list(x) for x in zip(*blocks))
     plan = ExecutionPlan(
         DatasetStats(metadata={"FromArrow": metas}, parent=None),
         DataContext.get_current().copy())
-    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas),
-                                                 plan._context))
+    source = FromArrow(refs, metas)
+    ds = MaterializedDataset(plan, LogicalPlan(source, plan._context))
+    plan._snapshot_bundle = RefBundle(
+        blocks, owns_blocks=False,
+        schema=_take_first_non_empty_schema(m.schema for m in metas))
+    plan._snapshot_operator, plan._snapshot_stats = source, plan._in_stats
+    return ds
 
 
 def _local(table: pa.Table) -> tuple:
@@ -261,6 +278,65 @@ def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
 
     fold_parts.__name__ = fold.__name__  # names the reduce tasks
     return _dataset(_exchange([_map_blocks(ds)[0]], fold_parts))
+
+
+def _whole(fold: Callable) -> Callable:
+    """``fold`` (Arrow table -> Arrow table) as a :func:`_fold_range`
+    fold: it gets the slices concatenated in order."""
+    def whole(slices: list) -> pa.Table:
+        return fold(concat(slices, promote_types=True))
+
+    whole.__name__ = fold.__name__  # names the task
+    return whole
+
+
+def _gather(blocks: list, fold: Callable) -> "ray.data.Dataset":
+    """``fold`` over the ``(block ref, rows)`` pairs ``blocks``,
+    concatenated in order, in one :func:`_fold_range` task; an untyped
+    empty Dataset, without calling ``fold``, when ``blocks`` is empty."""
+    if not blocks:
+        return _dataset([])
+    out, meta = _fold_range.options(name=fold.__name__).remote(
+        _whole(fold), 1, [(0, 0, rows) for _, rows in blocks],
+        *(ref for ref, _ in blocks))
+    return _dataset([(out, ray.get(meta))])
+
+
+def gather(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
+    """``fold`` (an Arrow table -> Arrow table function) run once over
+    all rows of ``ds``, concatenated in block order, in one task: the
+    single reduce of a sketch merge, a global quantile or a moving
+    window over a small aggregate. Runs ``ds`` and ``fold`` before
+    returning. An input without rows gives an untyped empty Dataset and
+    ``fold`` is not called."""
+    return _gather([(ref, meta.num_rows) for ref, meta in _nonempty(ds)], fold)
+
+
+def top_k(ds: "ray.data.Dataset", by, k: int,
+          descending=False) -> "ray.data.Dataset":
+    """The first ``k`` rows of ``ds`` in the order ``by`` (a column name
+    or a list of names; ``descending`` a bool or one per name, as in
+    ``Dataset.sort``), in that order: SQL's ``ORDER BY by LIMIT k``.
+    Ties in ``by`` come out in an arbitrary order, so callers pass a
+    total order. One task per block, started as the block lands, cuts
+    it to its own top ``k``; one :func:`gather` cuts the candidates.
+    Runs ``ds`` before returning; an input without rows gives an
+    untyped empty Dataset."""
+    by = [by] if isinstance(by, str) else list(by)
+    if isinstance(descending, bool):
+        descending = [descending] * len(by)
+    order = [(c, "descending" if d else "ascending")
+             for c, d in zip(by, descending)]
+
+    def top_k(t: pa.Table) -> pa.Table:
+        return t.sort_by(order).slice(0, k)
+
+    cut = ray.put(_whole(top_k))  # pickled once, not once per block task
+    task = _fold_range.options(name="top_k")
+    return _gather([(task.remote(cut, 1, [(0, 0, meta.num_rows)], ref)[0],
+                     min(k, meta.num_rows))
+                    for bundle in ds.iter_internal_ref_bundles()
+                    for ref, meta in bundle.blocks if meta.num_rows], top_k)
 
 
 # how each aggregate function's partials refold after the exchange

@@ -359,7 +359,7 @@ def pagerank_dataset(
 
     hosts = keyed_exchange(
         edges.map_batches(_hosts_both, batch_format="pyarrow"), "host",
-        _distinct).materialize()
+        _distinct)
     n_hosts = hosts.count()
     if n_hosts == 0:  # no graph: no rank distribution to normalize
         return ray.data.from_arrow(pa.table({
@@ -375,7 +375,7 @@ def pagerank_dataset(
             "p": pa.array((g["n_links"] / w).to_numpy(), type=pa.float64()),
         })
 
-    edges_p = keyed_exchange(edges, "src_host", _prob).materialize()
+    edges_p = keyed_exchange(edges, "src_host", _prob)
 
     # rank(h) = a·S(h) + b; the first iteration starts from S = 1/N
     sums = hosts.map_batches(
@@ -396,7 +396,7 @@ def pagerank_dataset(
         contrib = keyed_join(edges_p, sums, "src_host", right_on="host",
                              how="left outer")
         sums = keyed_aggregate(contrib.map_batches(_contrib, batch_format="pyarrow"),
-                               "host", {"s": ("s", "sum")}).materialize()
+                               "host", {"s": ("s", "sum")})
         dangling = max(0.0, 1.0 - (sums.sum("s") or 0.0))
         a, b = damping, (1.0 - damping) / n_hosts + damping * dangling / n_hosts
 

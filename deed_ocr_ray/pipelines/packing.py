@@ -26,7 +26,7 @@ import pyarrow as pa
 import ray
 import ray.data
 from ..sources.pages import read_pq
-from .exchange import keyed_aggregate, ordered_offsets
+from .exchange import keyed_aggregate, ordered_offsets, top_k
 
 WINDOW_TOKENS = 512
 
@@ -92,14 +92,12 @@ def q_kmeans(sf_dir: str) -> "ray.data.Dataset":
     seeded from the k lowest vec_ids). Returns final assignments.
     Columns: vec_id, cluster. (No SQL oracle: iterative algorithm —
     rows-only check.)"""
-    from .similarity import head_rows_by_key
-
     ds = read_pq(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding"])
 
     # deterministic init: the k lowest vec_ids, selected distributed
     # (no whole-table read on the driver — k rows land here)
-    seed_df = head_rows_by_key(ds, "vec_id", K_CLUSTERS)
+    seed_df = top_k(ds, "vec_id", K_CLUSTERS).to_pandas()
     centroids = np.array(seed_df["embedding"].tolist(), dtype=np.float64)
 
     def partials_fn(cref):

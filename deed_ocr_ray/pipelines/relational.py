@@ -33,7 +33,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 from ..sources.pages import read_pq
-from .exchange import keyed_aggregate, keyed_join
+from .exchange import gather, keyed_aggregate, keyed_join, top_k
 
 
 def _cents(arr: pa.ChunkedArray) -> pa.ChunkedArray:
@@ -147,8 +147,9 @@ WHERE l_discount BETWEEN 0.02 AND 0.04 AND l_quantity < 10
 
 
 def q_topk_orders(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
-    """Global sort + limit (top-k). Columns: o_orderkey, o_custkey,
-    o_totalprice_cents. Deterministic tie-break on o_orderkey."""
+    """Global top-k (``ORDER BY ... LIMIT k``) via ``exchange.top_k``.
+    Columns: o_orderkey, o_custkey, o_totalprice_cents. Deterministic
+    tie-break on o_orderkey."""
     ds = read_pq(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"]
     )
@@ -160,7 +161,7 @@ def q_topk_orders(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
         }),
         batch_format="pyarrow",
     )
-    return ds.sort(["o_totalprice_cents", "o_orderkey"], descending=[True, False]).limit(k)
+    return top_k(ds, ["o_totalprice_cents", "o_orderkey"], k, descending=[True, False])
 
 
 Q_TOPK_SQL = """
@@ -535,7 +536,8 @@ def q3_shipping_priority(
     ``keyed_join`` — at 100 TB neither side fits anywhere. Revenue
     stays integer cents.
     Columns: l_orderkey, o_orderdate, o_orderpriority, revenue_cents.
-    Deterministic order: revenue desc, o_orderdate asc, l_orderkey asc.
+    Deterministic order: revenue desc, o_orderdate asc, l_orderkey asc,
+    cut by one ``exchange.top_k``.
     """
     import pyarrow.dataset as pads
 
@@ -584,22 +586,14 @@ def q3_shipping_priority(
                         o_seg, "l_orderkey", right_on="o_orderkey")
 
     # final rollup is by the INT orderkey only (date/priority are
-    # functionally dependent — carried as group min); every orderkey
-    # lands whole in one block, so the global sort+limit collapses to a
-    # per-block top-k + one sort of the candidates.
+    # functionally dependent — carried as group min), then one global
+    # top-k over the per-order revenue
     agg = keyed_aggregate(joined, "l_orderkey",
                           {"o_orderdate": ("o_orderdate", "min"),
                            "o_orderpriority": ("o_orderpriority", "min"),
                            "revenue_cents": ("rev", "sum")})
-
-    def local_topk(t: pa.Table) -> pa.Table:
-        return t.sort_by([("revenue_cents", "descending"),
-                          ("o_orderdate", "ascending"),
-                          ("l_orderkey", "ascending")]).slice(0, k)
-
-    cand = agg.map_batches(local_topk, batch_size=None, batch_format="pyarrow")
-    return cand.repartition(1).map_batches(local_topk, batch_size=None,
-                                           batch_format="pyarrow")
+    return top_k(agg, ["revenue_cents", "o_orderdate", "l_orderkey"], k,
+                 descending=[True, False, False])
 
 
 def q3_sql(k: int = 10) -> str:
@@ -655,7 +649,8 @@ def q_top_parts_per_nation(
     """Grouped top-k: each supplier nation's top-``k`` parts by revenue.
     Size-dispatched supplier⋈nation lookup, one keyed aggregate on
     (nationkey, partkey), a per-block top-k per nation (every key lands
-    whole in one block) and one tiny final top-k over the candidates.
+    whole in one block) and one ``exchange.gather`` of the candidates
+    for the final top-k.
     Deterministic tie-break (revenue desc, partkey asc).
     Columns: n_name, l_partkey, revenue_cents, rk."""
     import pandas as pd
@@ -689,13 +684,6 @@ def q_top_parts_per_nation(
     cand = agg.map_batches(local_topk, batch_size=None, batch_format="pyarrow")
 
     def final_topk(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({
-                "n_name": pa.array([], type=pa.string()),
-                "l_partkey": pa.array([], type=pa.int64()),
-                "revenue_cents": pa.array([], type=pa.int64()),
-                "rk": pa.array([], type=pa.int64()),
-            })
         g = t.to_pandas().sort_values(
             ["nat", "revenue_cents", "l_partkey"],
             ascending=[True, False, True])
@@ -710,9 +698,8 @@ def q_top_parts_per_nation(
             "rk": pa.array(g["rk"].to_numpy(), type=pa.int64()),
         })
 
-    # candidates are <= n_parts*25*k slim int rows: one tiny partition
-    return cand.repartition(1).map_batches(
-        final_topk, batch_format="pyarrow", batch_size=None)
+    # candidates are <= blocks*25*k slim int rows: one tiny fold
+    return gather(cand, final_topk)
 
 
 def top_parts_per_nation_sql(k: int = 3) -> str:

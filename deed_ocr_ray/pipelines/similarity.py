@@ -26,7 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 from ..sources.pages import read_pq
-from .exchange import keyed_exchange
+from .exchange import keyed_exchange, top_k
 
 K_NEIGHBORS = 10
 N_QUERIES = 5
@@ -49,26 +49,13 @@ def _emb_matrix(col) -> np.ndarray:
     return flat.to_numpy(zero_copy_only=False).astype(np.float64).reshape(n, d)
 
 
-def head_rows_by_key(ds: "ray.data.Dataset", key: str, n: int) -> pd.DataFrame:
-    """First ``n`` rows by ``key``, selected DISTRIBUTED: each block
-    emits only its ``n`` smallest keys (tiny), then a small sort+limit
-    over the per-block candidates picks the global ``n``. This replaces
-    a whole-table driver read — only ``n`` rows ever land on the
-    driver, and the scan streams with ``columns=`` pruning intact."""
-    def local_head(t: pa.Table) -> pa.Table:
-        idx = pa.compute.sort_indices(t, sort_keys=[(key, "ascending")])
-        return t.take(idx[:n])
-
-    cand = ds.map_batches(local_head, batch_format="pyarrow")
-    return cand.sort(key).limit(n).to_pandas()
-
-
 def _load_queries(sf_dir: str, n: int = N_QUERIES) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First ``n`` vectors by vec_id as the query set (deterministic),
-    selected distributed via :func:`head_rows_by_key`."""
+    selected distributed by ``exchange.top_k``: only ``n`` rows reach
+    the driver."""
     ds = read_pq(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding", "label"])
-    df = head_rows_by_key(ds, "vec_id", n)
+    df = top_k(ds, "vec_id", n).to_pandas()
     q = np.array(df["embedding"].tolist(), dtype=np.float64)
     qid = np.array(df["vec_id"].tolist(), dtype=np.int64)
     qlab = np.array(df["label"].tolist(), dtype=np.int64)

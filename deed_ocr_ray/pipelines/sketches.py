@@ -15,9 +15,9 @@ family (HLL ``dedup.q_hll_users``, log-histogram quantiles
   audited in the test suite (the HLL pattern).
 
 Merge topology note (shared with the HLL/quantile sketches): partials
-reduce via ``repartition(1)`` — one reduce task, nothing on the
+reduce via ``exchange.gather`` — one reduce task, nothing on the
 driver except the finished constant-size sketch; at cluster scale add
-intermediate repartition levels for a tree reduce.
+intermediate levels for a tree reduce.
 
 Reference analogue: the confidence-gated keep/drop prefilters of
 deed_ocr/extractors/llm.py:120-166 (cheap gate first, exact check
@@ -31,7 +31,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 from ..sources.pages import read_pq
-from .exchange import keyed_aggregate, keyed_exchange, keyed_join
+from .exchange import gather, keyed_aggregate, keyed_exchange, keyed_join
 
 # ----------------------------------------------------------- bloom core
 
@@ -132,12 +132,8 @@ def q_bloom_semijoin(sf_dir: str, thr: float = SEMI_PRICE_THR) -> "ray.data.Data
             np.bitwise_or(merged, np.frombuffer(blob, dtype=np.uint8), out=merged)
         return pa.table({"bits": pa.array([merged.tobytes()], type=pa.binary())})
 
-    merged = (
-        keys_ds.map_batches(partial_bloom, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(or_merge, batch_format="pyarrow", batch_size=None)
-        .take_all()
-    )
+    merged = gather(keys_ds.map_batches(partial_bloom, batch_format="pyarrow"),
+                    or_merge).take_all()
     # driver holds only the finished 128 KiB sketch — constant size at
     # any corpus scale (this is NOT a key-set materialization)
     bloom_ref = _ray.put(np.frombuffer(merged[0]["bits"], dtype=np.uint8))
@@ -267,9 +263,7 @@ def q_heavy_hitters(sf_dir: str, k: int = 20) -> "ray.data.Dataset":
             "est_cnt": pa.array([int(est[i]) for i in order], type=pa.int64()),
         })
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    return parts.repartition(1).map_batches(merge, batch_format="pyarrow",
-                                            batch_size=None)
+    return gather(ds.map_batches(partial, batch_format="pyarrow"), merge)
 
 
 # ------------------------------------------- grouped HLL (per-day DAU)

@@ -24,7 +24,7 @@ import ray.data
 from ..functions.normalize import normalize_text
 from ..functions.stopwords import STOPWORDS
 from ..sources.pages import read_pq
-from .exchange import keyed_aggregate, ordered_offsets
+from .exchange import keyed_aggregate, ordered_offsets, top_k
 
 _PUNCT_RE = re.compile(r"[.!?,;:]")
 _LANGS = sorted(STOPWORDS)  # deterministic candidate order
@@ -413,8 +413,8 @@ Q_FINGERPRINT_ROLLING_SQL = fingerprint_rolling_sql()
 def q_top_terms(sf_dir: str, k: int = 20) -> "ray.data.Dataset":
     """Global top-k terms by count — the canonical wordcount: one
     keyed aggregate, whose per-batch combiner shrinks the shuffle to
-    distinct terms per block. Deterministic tie-break (cnt desc, term
-    asc). Columns: term, cnt."""
+    distinct terms per block, then one ``exchange.top_k``.
+    Deterministic tie-break (cnt desc, term asc). Columns: term, cnt."""
     ds = read_pq(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def terms(t: pa.Table) -> pa.Table:
@@ -425,7 +425,7 @@ def q_top_terms(sf_dir: str, k: int = 20) -> "ray.data.Dataset":
 
     agg = keyed_aggregate(ds.map_batches(terms, batch_format="pyarrow"),
                           "term", {"cnt": (None, "count_all")})
-    return agg.sort(["cnt", "term"], descending=[True, False]).limit(k)
+    return top_k(agg, ["cnt", "term"], k, descending=[True, False])
 
 
 Q_TOP_TERMS_SQL = r"""
@@ -626,7 +626,8 @@ Q_POSTING_PAIRS_SQL = posting_pairs_sql()
 def q_bigram_counts(sf_dir: str, k: int = 50) -> "ray.data.Dataset":
     """Top-``k`` word bigrams by count — the n-gram LM count table (the
     training-data analogue of wordcount one order up), one keyed
-    aggregate; deterministic tie-break (cnt desc, bigram asc).
+    aggregate and one ``exchange.top_k``; deterministic tie-break (cnt
+    desc, bigram asc).
     Columns: bigram, cnt."""
     ds = read_pq(f"{sf_dir}/documents.parquet", columns=["text"])
 
@@ -641,7 +642,7 @@ def q_bigram_counts(sf_dir: str, k: int = 50) -> "ray.data.Dataset":
 
     agg = keyed_aggregate(ds.map_batches(bigrams, batch_format="pyarrow"),
                           "bigram", {"cnt": (None, "count_all")})
-    return agg.sort(["cnt", "bigram"], descending=[True, False]).limit(k)
+    return top_k(agg, ["cnt", "bigram"], k, descending=[True, False])
 
 
 def bigram_counts_sql(k: int = 50) -> str:

@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 from ..sources.pages import read_pq
-from .exchange import keyed_aggregate, keyed_exchange, keyed_join
+from .exchange import gather, keyed_aggregate, keyed_exchange, keyed_join
 
 
 def _counts_upto(lk: np.ndarray, lp: np.ndarray, rk: np.ndarray,
@@ -336,7 +336,9 @@ Q_ASOF_SQL = asof_last_ship_sql()
 # ------------------------------------------------------- grouped quantiles
 
 def q_price_quantiles(sf_dir: str) -> "ray.data.Dataset":
-    """Discrete p50/p90 of order price (cents) per order priority.
+    """Discrete p50/p90 of order price (cents) per order priority: one
+    keyed aggregate to a (priority, cents, n) histogram, and one
+    ``exchange.gather`` reads the quantiles off it.
     Columns: o_orderpriority, p50_cents, p90_cents, n_orders."""
     ds = read_pq(
         f"{sf_dir}/orders.parquet", columns=["o_orderpriority", "o_totalprice"]
@@ -354,21 +356,11 @@ def q_price_quantiles(sf_dir: str) -> "ray.data.Dataset":
             ),
         })
 
-    _EMPTY = pa.table({
-        "o_orderpriority": pa.array([], type=pa.string()),
-        "p50_cents": pa.array([], type=pa.int64()),
-        "p90_cents": pa.array([], type=pa.int64()),
-        "n_orders": pa.array([], type=pa.int64()),
-    })
-
     def quants(t: pa.Table) -> pa.Table:
         # input = the FULL slim histogram (one row per distinct
         # (priority, cents) — bounded regardless of corpus size); the
         # weighted order statistic over (cents asc, n) reproduces
-        # quantile_disc exactly. Typed-empty return keeps every bundle
-        # schema-ful (the r4 prep.py landmine).
-        if t.num_rows == 0:
-            return _EMPTY
+        # quantile_disc exactly
         g = t.to_pandas().sort_values(["o_orderpriority", "cents"])
         rows = []
         for prio, grp in g.groupby("o_orderpriority", sort=True):
@@ -388,12 +380,10 @@ def q_price_quantiles(sf_dir: str) -> "ray.data.Dataset":
 
     # aggregate to the slim (priority, cents, n) histogram FIRST —
     # only distinct price points cross the exchange, and the final
-    # quantile pass is one small single-partition map
+    # quantile pass is one small gather
     hist = keyed_aggregate(ds.map_batches(cents, batch_format="pyarrow"),
                            ["o_orderpriority", "cents"], {"n": (None, "count_all")})
-    return hist.repartition(1).map_batches(
-        quants, batch_format="pyarrow", batch_size=None
-    )
+    return gather(hist, quants)
 
 
 Q_PRICE_QUANTILES_SQL = """
@@ -466,8 +456,8 @@ FROM sess GROUP BY user_id, sid
 def q_moving_avg_dau(sf_dir: str, window: int = 7) -> "ray.data.Dataset":
     """Sliding-window aggregate over an aggregate: 7-day moving average
     of daily active users. The base DAU is tiny by construction (one
-    row per day), so the window pass runs in one ordered block after
-    the distributed aggregation — the standard aggregate-then-window
+    row per day), so the window pass runs in one ``exchange.gather``
+    after the distributed aggregation — the standard aggregate-then-window
     shape. Window sums are integers (exact in doubles), so the average
     is bit-identical to the SQL frame ``ROWS BETWEEN 6 PRECEDING AND
     CURRENT ROW``. Columns: day, dau, dau_ma7."""
@@ -491,9 +481,8 @@ def q_moving_avg_dau(sf_dir: str, window: int = 7) -> "ray.data.Dataset":
             "dau_ma7": pa.array(out, type=pa.float64()),
         })
 
-    # one block = the whole (small) aggregate; batch_size=None keeps it
-    return dau.repartition(1).map_batches(ma, batch_format="pyarrow",
-                                          batch_size=None)
+    # one fold over the whole (small) aggregate
+    return gather(dau, ma)
 
 
 Q_MOVING_AVG_DAU_SQL = """
@@ -534,8 +523,8 @@ def hist_quantile(counts: np.ndarray, q: float) -> float:
 def q_price_quantile_sketch(sf_dir: str) -> "ray.data.Dataset":
     """Approximate p50/p90/p99 of l_extendedprice via a MERGEABLE
     log-histogram sketch: each batch emits its 4096-bin count vector
-    (32 KiB), partials sum in a reduce task (``repartition(1)`` — tree
-    it at cluster scale), and quantiles read off the merged histogram.
+    (32 KiB), partials sum in one reduce task (``exchange.gather`` —
+    tree it at cluster scale), and quantiles read off the merged histogram.
     The estimate-vs-exact audit lives in the test suite
     (``tests/test_ops.py``), mirroring the HLL pattern. Columns:
     n_rows, p50, p90, p99, rel_err_bound_pct. (No SQL oracle: sketch.)"""
@@ -562,9 +551,7 @@ def q_price_quantile_sketch(sf_dir: str) -> "ray.data.Dataset":
             "rel_err_bound_pct": pa.array([round(rel, 3)], type=pa.float64()),
         })
 
-    parts = ds.map_batches(sketch, batch_format="pyarrow")
-    return parts.repartition(1).map_batches(merge, batch_format="pyarrow",
-                                            batch_size=None)
+    return gather(ds.map_batches(sketch, batch_format="pyarrow"), merge)
 
 
 # ------------------------------------------------------------- range join

@@ -517,8 +517,9 @@ def test_exchange_output_needs_no_metadata_tasks(ray_session, monkeypatch):
     ``ray.data.from_arrow_refs`` (one metadata task per block)."""
     import ray.data
 
-    from deed_ocr_ray.pipelines.exchange import (keyed_aggregate, keyed_join,
-                                                 ordered_offsets, part_exchange)
+    from deed_ocr_ray.pipelines.exchange import (gather, keyed_aggregate,
+                                                 keyed_join, ordered_offsets,
+                                                 part_exchange, top_k)
 
     def refuse(*a, **k):
         raise AssertionError("from_arrow_refs called")
@@ -542,6 +543,38 @@ def test_exchange_output_needs_no_metadata_tasks(ray_session, monkeypatch):
     # ordered_offsets' stamp tasks return their metadata too
     ranked = ordered_offsets(_blocks(keys, 3), "k", "rank")
     assert ranked.count() == 600 and ranked.schema().names == ["k", "rank"]
+    # and so do the gather and top-k tasks
+    total = gather(_blocks(keys, 3), lambda t: pa.table({"n": [t.num_rows]}))
+    assert total.count() == 1 and total.schema().names == ["n"]
+    top = top_k(_blocks(keys, 3), "k", 5, descending=True)
+    assert top.count() == 5 and top.schema().names == ["k"]
+
+
+def test_exchange_output_reads_without_executor(ray_session, monkeypatch):
+    """An exchange's output is materialized the way ``materialize()``
+    leaves a Dataset: reading its blocks, as the next exchange or
+    gather does, starts no Ray Data executor."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    from deed_ocr_ray.pipelines.exchange import (gather, keyed_aggregate,
+                                                 keyed_join, part_exchange)
+
+    keys = pa.table({"k": np.arange(600, dtype=np.int64) % 37})
+    left, right = _sides("int")
+    outs = [keyed_aggregate(_blocks(keys, 3), "k", {"n": (None, "count_all")}),
+            keyed_join(_blocks(left, 3), _blocks(right, 2), "k", right_on="rk"),
+            part_exchange(_part_input().filter(expr="x < 0"), _keep_part(0)),
+            gather(_blocks(keys, 3), lambda t: t.slice(0, 5))]
+
+    def refuse(*a, **k):
+        raise AssertionError("executor started")
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", refuse)
+    assert [sum(m.num_rows for b in out.iter_internal_ref_bundles()
+                for _, m in b.blocks)
+            for out in outs] == [37, left.join(right, "k", "rk", "inner").num_rows,
+                                 0, 5]
+    assert gather(outs[0], lambda t: t.slice(0, 1)).count() == 1
 
 
 # ------------------------------------------------------- ordered_offsets
@@ -616,3 +649,71 @@ def test_ordered_offsets_empty_input(ray_session, schema_warnings, empty):
         assert out.schema().names == ["k", "id", "w", "off"]
         assert out.schema().base_schema.field("off").type == pa.int64()
     assert schema_warnings == []
+
+
+# ------------------------------------------------------- gather and top_k
+
+@pytest.mark.parametrize("by,descending,k", [
+    ("id", False, 7),                   # one key, k below one block's rows
+    ("id", True, 7),
+    (["k", "id"], [True, False], 40),   # hot-key ties broken by id
+    (["k", "id"], [False, True], 5000),  # k above the total rows
+], ids=["asc", "desc", "desc_asc", "all_rows"])
+def test_top_k_matches_arrow(ray_session, schema_warnings, by, descending, k):
+    """``top_k`` over 8 input blocks equals a single-process
+    ``sort_by(...).slice(0, k)``, in output order too, and a map over
+    its output logs no schema warning."""
+    from deed_ocr_ray.pipelines.exchange import top_k
+
+    t = _scan_input()
+    keys = [by] if isinstance(by, str) else by
+    flags = descending if isinstance(descending, list) else [descending]
+    want = t.sort_by([(c, "descending" if d else "ascending")
+                      for c, d in zip(keys, flags)]).slice(0, k)
+    out = top_k(_blocks(t, 8), by, k, descending=descending)
+    got = pa.concat_tables(ray_session.get(out.to_arrow_refs()))
+    assert got.equals(want)
+    assert out.count() == min(k, t.num_rows)
+    mapped = out.map_batches(lambda b: b, batch_format="pyarrow").materialize()
+    assert mapped.count() == want.num_rows
+    assert schema_warnings == []
+
+
+def test_gather_folds_blocks_in_order(ray_session):
+    """``gather`` runs its fold once over the input blocks concatenated
+    in block order, in one output block."""
+    from deed_ocr_ray.pipelines.exchange import gather
+
+    def _numbered(t: pa.Table) -> pa.Table:
+        # each row's position in the fold's input pins the order
+        return t.append_column("pos", pa.array(np.arange(t.num_rows),
+                                               type=pa.int64()))
+
+    t = _scan_input(400)
+    out = gather(_blocks(t, 8), _numbered)
+    rows = [m.num_rows for b in out.iter_internal_ref_bundles() for _, m in b.blocks]
+    assert rows == [400]
+    assert pa.concat_tables(ray_session.get(out.to_arrow_refs())).equals(_numbered(t))
+
+
+@pytest.mark.parametrize("empty", ["typed", "filtered"])
+def test_gather_and_top_k_empty_input(ray_session, tmp_path, empty):
+    """Input without rows — typed-empty, or filtered to zero rows —
+    gives an untyped empty output, and the fold never runs (Ray's
+    ``repartition(1).map_batches(fn)`` does not call ``fn`` either)."""
+    from deed_ocr_ray.pipelines.exchange import gather, top_k
+
+    t = _scan_input(200)
+    ds = (_blocks(t.slice(0, 0), 3) if empty == "typed"
+          else _blocks(t, 8).filter(expr="k < 0"))
+    log = tmp_path / "calls"
+
+    def fold(b):
+        log.write_text("called")
+        return b
+
+    out = gather(ds, fold)
+    assert out.count() == 0 and out.schema() is None
+    assert not log.exists()
+    top = top_k(ds, "id", 5)
+    assert top.count() == 0 and top.schema() is None

@@ -1,11 +1,14 @@
-"""Structure guard: every keyed exchange of the package goes through
+"""Structure guard: every exchange of the package goes through
 ``pipelines/exchange.py``.
 
 Outside that module the package calls no Ray ``map_groups`` (a sampled
-sort whose empty ranges come out as schema-less blocks), no keyed
-``repartition(..., keys=...)`` and no ``ShuffleStrategy.HASH_SHUFFLE``
-(aggregator actors: seconds of startup, and a deadlock when two such
-shuffles share a plan on a low-CPU host). The source is scanned with
+sort whose empty ranges come out as schema-less blocks), no
+``repartition`` (keyed: aggregator actors; ``repartition(1)``: an
+all-to-all barrier where ``exchange.gather`` is one task), no
+``ShuffleStrategy.HASH_SHUFFLE`` (aggregator actors: seconds of
+startup, and a deadlock when two such shuffles share a plan on a
+low-CPU host) and no ``sort`` or ``limit`` (a sampled sort, where
+``exchange.top_k`` cuts each block). The source is scanned with
 ``ast``, so comments and docstrings that name them do not count.
 """
 
@@ -16,15 +19,17 @@ PKG = pathlib.Path(__file__).resolve().parent.parent / "deed_ocr_ray"
 EXCHANGE = PKG / "pipelines" / "exchange.py"
 
 
-def _keyed_shuffles(source: str):
-    """``(line, form)`` of every keyed Ray shuffle in ``source``."""
+EXCHANGE_CALLS = ("map_groups", "repartition", "sort", "limit")
+
+
+def _shuffles(source: str):
+    """``(line, form)`` of every Ray exchange in ``source``: a
+    ``map_groups``, ``repartition``, ``sort`` or ``limit`` call, or
+    ``HASH_SHUFFLE``."""
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr == "map_groups":
-                yield node.lineno, "map_groups("
-            elif (node.func.attr == "repartition"
-                  and any(k.arg == "keys" for k in node.keywords)):
-                yield node.lineno, "repartition(..., keys=...)"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in EXCHANGE_CALLS):
+            yield node.lineno, f"{node.func.attr}("
         elif isinstance(node, ast.Attribute) and node.attr == "HASH_SHUFFLE":
             yield node.lineno, "HASH_SHUFFLE"
 
@@ -34,29 +39,34 @@ def test_scanner_finds_each_form():
            "ds.repartition(8, keys=['k'], sort=True)\n"
            "ds.repartition(1)\n"
            "ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE\n"
+           "ds.sort(['n', 'k'], descending=[True, False])\n"
+           "ds.limit(10)\n"
+           "t.sort_by('k').slice(0, 10)\n"
            "# ds.groupby('k').map_groups(f)\n")
-    assert sorted(_keyed_shuffles(src)) == [
-        (1, "map_groups("), (2, "repartition(..., keys=...)"), (4, "HASH_SHUFFLE")]
+    assert sorted(_shuffles(src)) == [
+        (1, "map_groups("), (2, "repartition("), (3, "repartition("),
+        (4, "HASH_SHUFFLE"), (5, "sort("), (6, "limit(")]
 
 
-def test_no_keyed_shuffle_outside_exchange():
+def test_no_shuffle_outside_exchange():
     found = [f"{path.relative_to(PKG.parent)}:{line}: {form}"
              for path in sorted(PKG.rglob("*.py")) if path != EXCHANGE
-             for line, form in _keyed_shuffles(path.read_text())]
+             for line, form in _shuffles(path.read_text())]
     assert found == []
 
 
-# the keyed exchange and everything it calls: plain Ray tasks, no Ray
-# Data barrier or all-to-all operator
+# the keyed exchange, the gather and the top-k, and everything they
+# call: plain Ray tasks, no Ray Data barrier or all-to-all operator
 KEYED = {"keyed_exchange", "part_exchange", "keyed_aggregate", "keyed_join",
          "_map_blocks", "_sort_block", "_exchange", "_fold_range",
-         "_part_rows", "_dataset"}
+         "_part_rows", "_dataset", "gather", "top_k", "_gather", "_whole"}
 
 
 def test_keyed_exchange_is_plain_tasks():
     """No ``sort(``, ``repartition(`` or ``materialize(`` call in the
-    keyed exchange's functions: each would add a Ray Data execution or
-    an all-to-all operator to every keyed aggregate, exchange and join."""
+    exchange's functions: each would add a Ray Data execution or an
+    all-to-all operator to every keyed aggregate, exchange, join,
+    gather and top-k."""
     tree = ast.parse(EXCHANGE.read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)}

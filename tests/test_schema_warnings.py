@@ -37,7 +37,11 @@ QUERIES = ["term_stats", "sessionize", "tfidf_topk", "q3_shipping_priority",
            "stratified_sample", "knn_cosine", "knn_ivf", "knn_lsh",
            "order_percent_rank", "value_outliers", "fuzzy_url_pairs",
            "delta_apply", "dau_hll", "embedding_neardup",
-           "paragraph_dedup", "paragraph_dedup_extracted"]
+           "paragraph_dedup", "paragraph_dedup_extracted",
+           # the gathers and top-ks of exchange.gather / exchange.top_k
+           # that no group above names
+           "topk_orders", "price_quantile_sketch", "hll_users",
+           "heavy_hitters", "corr_qty_discount", "kmeans"]
 
 
 @pytest.mark.parametrize("name", QUERIES)

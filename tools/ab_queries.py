@@ -2,8 +2,11 @@
 
 Runs the queries of ``__ray_entry__.queries()`` in alternating
 subprocesses, one per checkout and pass (A B, B A, A B, ...), each with
-its own Ray session of ``--cpus`` CPUs and the queries in the same
-order on both sides. Prints per-query median seconds, the B/A ratio and
+its own Ray session of ``--cpus`` CPUs. The query order rotates by one
+on each pair of passes and is the same on both sides of a pair, so a
+stall that hits whichever query runs at some point of a pass (a cold
+worker starting after an actor-pool query) lands on a different query
+each time. Prints per-query median seconds, the B/A ratio and
 whether the value hashes (``check_oracles.value_hash``) agree across
 every pass of both sides. Usage:
 
@@ -28,9 +31,11 @@ import subprocess
 import sys
 import time
 
-def worker(checkout: str, sf_dir: str, cpus: int, names: list) -> None:
+def worker(checkout: str, sf_dir: str, cpus: int, rep: int,
+           names: list) -> None:
     """One pass: run ``names`` (all registry queries when empty) of the
-    checkout's ``__ray_entry__`` and print one JSON line per query."""
+    checkout's ``__ray_entry__``, rotated left by ``rep``, and print one
+    JSON line per query."""
     from check_oracles import to_pandas, value_hash
 
     sys.path.insert(0, checkout)  # after check_oracles put its own repo first
@@ -46,7 +51,9 @@ def worker(checkout: str, sf_dir: str, cpus: int, names: list) -> None:
     # start the workers before the first timed query
     ray.data.range(cpus, override_num_blocks=cpus).materialize()
     qs = ent.queries()
-    for name in names or list(qs):
+    names = names or list(qs)
+    shift = rep % len(names)
+    for name in names[shift:] + names[:shift]:
         t0 = time.perf_counter()
         try:
             df = to_pandas(qs[name](sf_dir))
@@ -59,12 +66,13 @@ def worker(checkout: str, sf_dir: str, cpus: int, names: list) -> None:
     ray.shutdown()
 
 
-def run_pass(checkout: str, args) -> list:
-    """One subprocess pass over ``checkout``; its per-query records."""
+def run_pass(checkout: str, rep: int, args) -> list:
+    """One subprocess pass over ``checkout`` in rotation ``rep``; its
+    per-query records."""
     env = dict(os.environ, PYTHONPATH=checkout)  # Ray workers import from it
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker", checkout,
-         args.sf, str(args.cpus), *args.queries],
+         args.sf, str(args.cpus), str(rep), *args.queries],
         cwd=checkout, env=env, capture_output=True, text=True,
         timeout=args.timeout)
     recs = [json.loads(line) for line in out.stdout.splitlines()
@@ -76,8 +84,8 @@ def run_pass(checkout: str, args) -> list:
 
 def main() -> None:
     if sys.argv[1:2] == ["--worker"]:
-        checkout, sf_dir, cpus, *names = sys.argv[2:]
-        worker(checkout, sf_dir, int(cpus), names)
+        checkout, sf_dir, cpus, rep, *names = sys.argv[2:]
+        worker(checkout, sf_dir, int(cpus), int(rep), names)
         return
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", help="checkout A (the parent)")
@@ -94,7 +102,7 @@ def main() -> None:
     for rep in range(args.reps):
         for side in ("A", "B") if rep % 2 == 0 else ("B", "A"):
             t0 = time.perf_counter()
-            runs[side].append(run_pass(sides[side], args))
+            runs[side].append(run_pass(sides[side], rep, args))
             print(f"pass {rep + 1}/{args.reps} {side}: "
                   f"{time.perf_counter() - t0:.0f} s", file=sys.stderr)
 
