@@ -4,17 +4,19 @@ Each operator that needs all rows of a key together (window functions,
 corpus-global counts, grouped top-k, as-of/range joins, equi-joins)
 does the same COARSE exchange: tag every row with
 ``part = part_ids(key) ∈ [0, P)``, bring each part's rows together, and
-work on each part once, resolving the exact keys vectorized (a grouped top-k
-or rank is one sort plus ``groupby(key, sort=False).head(k)`` /
-``cumcount()``; a body that is inherently per key loops over the keys
-of its part). Every keyed exchange of ``pipelines/`` goes through this
-module: no Ray ``groupby().map_groups`` (a sampled sort, one UDF call
-per key) and no keyed ``repartition`` (aggregator actors) elsewhere —
+work on each range of whole parts once, resolving the exact keys
+vectorized (a grouped top-k or rank is one sort plus
+``groupby(key, sort=False).head(k)`` / ``cumcount()``; a body that is
+inherently per key loops over the keys of its range). Every keyed
+exchange of ``pipelines/`` goes through this module: no Ray
+``groupby().map_groups`` (a sampled sort, one UDF call per key) and no
+keyed ``repartition`` (aggregator actors) elsewhere —
 ``tests/test_exchange_structure.py`` enforces it.
 
 Partitioning assumption: one partition holds ALL rows of each key it
 contains — guaranteed because the partition id is a pure function of
-the key, identical in every worker process.
+the key, identical in every worker process. A range is a union of
+whole partitions, so a key-local fold gives the same rows on it.
 
 The exchange is plain Ray tasks, one Ray execution of the input and no
 Ray Data all-to-all operator: one map task per input block, started as
@@ -77,9 +79,9 @@ from ray.data.dataset import MaterializedDataset
 from ..functions.tokens import _plain
 from ..sources.pages import cluster_cpus
 
-# Coarse exchange width: enough partitions that one partition's rows
-# fit a worker heap at corpus scale, few enough that per-partition
-# overhead stays negligible at sf0.01.
+# Coarse exchange width: how finely ranges can be cut, not a fold-call
+# count (a fold runs once per range); a range holds ~rows / max(input
+# blocks, CPUs), one partition's rows once an input has >= PARTS blocks.
 PARTS = 64
 
 log = logging.getLogger(__name__)
@@ -124,9 +126,10 @@ def keyed_exchange(ds: "ray.data.Dataset", key: str,
                    fold: Callable) -> "ray.data.Dataset":
     """Co-locate the rows of each ``key`` value in one of ``PARTS``
     partitions and apply ``fold`` (a pandas DataFrame -> Arrow table
-    function) once per partition. The frame ``fold`` receives carries
-    an extra int32 ``part`` column. Runs ``ds`` and the folds before
-    returning; the output has no empty block (see :func:`part_exchange`)."""
+    function) once per range of whole partitions: its frame holds many
+    keys, every row of each, and an extra int32 ``part`` column. Runs
+    ``ds`` and the folds before returning; the output has no empty
+    block (see :func:`part_exchange`)."""
     def tag(t: pa.Table) -> pa.Table:
         return t.append_column(
             "part", pa.array(part_ids(t[key], PARTS), type=pa.int32()))
@@ -262,19 +265,15 @@ def _dataset(outs: list) -> "ray.data.Dataset":
 def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
     """:func:`keyed_exchange` for rows that already carry an int32
     ``part`` column (streams that mix keys pick it per piece with
-    :func:`part_ids`).
+    :func:`part_ids`). ``fold`` runs once per range, on the range's
+    rows stably sorted by ``part``.
 
     Runs ``ds`` and the folds before returning. The output has no empty
-    block: a range whose every part folds to nothing is dropped. An
-    empty output is one empty block (typed when ``fold`` returns typed
-    tables); an empty input gives an untyped empty Dataset."""
+    block: a range that folds to nothing is dropped. An empty output is
+    one empty block (typed when ``fold`` returns typed tables); an empty
+    input gives an untyped empty Dataset."""
     def fold_parts(slices: list) -> pa.Table:
-        t = _part_rows(slices)
-        p = t["part"].to_numpy()
-        cut = np.flatnonzero(p[1:] != p[:-1]) + 1
-        return concat([fold(t.slice(lo, hi - lo).to_pandas())
-                       for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(p)])],
-                      promote_types=True)
+        return fold(_part_rows(slices).to_pandas())
 
     fold_parts.__name__ = fold.__name__  # names the reduce tasks
     return _dataset(_exchange([_map_blocks(ds)[0]], fold_parts))

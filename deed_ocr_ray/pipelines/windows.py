@@ -403,7 +403,7 @@ SESSION_GAP_MIN = 30
 def q_sessionize(sf_dir: str) -> "ray.data.Dataset":
     """Sessionization (the streaming-window analogue, computed batch):
     per-user event sessions split at >30-minute gaps. Coarse-partitioned
-    by user, gap/cumsum fully vectorized inside each partition.
+    by user, gap/cumsum fully vectorized inside each range of partitions.
     Columns: user_id, session_id, session_start, session_end, n_events."""
     ds = read_pq(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
@@ -636,11 +636,11 @@ def q_event_transitions(sf_dir: str) -> "ray.data.Dataset":
     LEAD() per user then a (src, dst) count, the funnel/clickstream
     matrix every product-analytics pipeline computes. One keyed
     exchange on ``user_id`` co-locates each user's events;
-    inside the partition the per-user LEAD is one vectorized shift over
-    the (user_id, ts, event_id)-sorted frame (NO per-user loop), and a
-    keyed aggregate counts the (src, dst) pairs; its combiner folds
-    each partition's pairs, so only |event_types|² × partitions slim
-    rows cross its exchange.
+    inside each range of partitions the per-user LEAD is one vectorized
+    shift over the (user_id, ts, event_id)-sorted frame (NO per-user
+    loop), and a keyed aggregate counts the (src, dst) pairs; its
+    combiner folds each range's pairs, so only |event_types|² × ranges
+    slim rows cross its exchange.
     Columns: src, dst, n.
     """
     ds = read_pq(

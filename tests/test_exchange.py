@@ -176,6 +176,27 @@ def test_part_exchange_drops_empty_fold_blocks(ray_session, schema_warnings):
     assert schema_warnings == []
 
 
+def test_part_exchange_folds_once_per_range(ray_session):
+    """64 parts over 8 input blocks are cut into 8 ranges, and the fold
+    runs once per range on all of its rows: 8 calls, each part in
+    exactly one of them, all 640 rows between them."""
+    from deed_ocr_ray.pipelines.exchange import part_exchange
+
+    def census(g):
+        return pa.table({
+            "parts": pa.array([sorted(set(g["part"].tolist()))],
+                              type=pa.list_(pa.int32())),
+            "rows": pa.array([len(g)], type=pa.int64())})
+
+    out = part_exchange(_part_input(), census)
+    blocks = sum(len(b.blocks) for b in out.iter_internal_ref_bundles())
+    df = out.to_pandas()
+    assert len(df) == blocks == 8
+    parts = [p for ps in df["parts"] for p in ps]
+    assert sorted(parts) == list(range(64))
+    assert df["rows"].sum() == 640
+
+
 @pytest.mark.parametrize("empty", ["typed", "filtered", "mapped"])
 def test_part_exchange_empty_input(ray_session, empty):
     """Input without rows — typed-empty, filtered to zero rows, or

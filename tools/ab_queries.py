@@ -18,7 +18,8 @@ query's time is ``to_pandas(query(sf_dir))`` in the pass's process,
 after one small Ray Data job has started the workers; a ratio above
 1.10 is flagged ``SLOWER``. Re-run a flagged query on its own before
 concluding anything: CPU steal on a shared host moves single timings
-a lot.
+a lot. Exits 1 when a query's value hashes differ (``DIFFERENT``) or a
+query errors or is missing on one side, so a script can gate on it.
 """
 
 from __future__ import annotations
@@ -109,11 +110,13 @@ def main() -> None:
     order = list(dict.fromkeys(r["q"] for p in runs["A"] + runs["B"] for r in p))
     print(f"{'query':32} {'A s':>7} {'B s':>7} {'B/A':>6}  hash")
     totals = {"A": 0.0, "B": 0.0}
+    failed = False
     for q in order:
         recs = {s: [r for p in runs[s] for r in p if r["q"] == q] for s in runs}
         errs = [r["error"] for s in recs for r in recs[s] if "error" in r]
         if errs or not all(recs.values()):
             print(f"{q:32} error: {errs[0] if errs else 'missing on one side'}")
+            failed = True
             continue
         med = {s: statistics.median(r["s"] for r in recs[s]) for s in recs}
         for s in med:
@@ -122,12 +125,14 @@ def main() -> None:
         same = ("equal" if len(hashes["A"] | hashes["B"]) == 1 else
                 f"DIFFERENT (A {len(hashes['A'])}, B {len(hashes['B'])} "
                 f"distinct, {len(hashes['A'] & hashes['B'])} shared)")
+        failed |= same != "equal"
         ratio = med["B"] / med["A"] if med["A"] else float("inf")
         flag = "  SLOWER" if ratio > 1.10 else ""
         print(f"{q:32} {med['A']:7.3f} {med['B']:7.3f} {ratio:6.2f}  {same}{flag}")
     if totals["A"]:
         print(f"{'total of medians':32} {totals['A']:7.2f} {totals['B']:7.2f} "
               f"{totals['B'] / totals['A']:6.2f}")
+    sys.exit(1 if failed else 0)
 
 
 if __name__ == "__main__":
