@@ -92,8 +92,7 @@ def _pdf_layout_query(sf_dir: str) -> Any:
 
     corpus = pages_corpus_for(sf_dir)
     ds = read_pages(corpus, columns=["url", "html"])
-    return ds.map_batches(PdfLayoutStage, batch_format="pyarrow",
-                          concurrency=(1, 8))
+    return ds.map_batches(PdfLayoutStage(), batch_format="pyarrow")
 
 
 def entry() -> Any:

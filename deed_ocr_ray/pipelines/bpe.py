@@ -15,7 +15,7 @@ Ray-Data-first:
   knob: at 100 TB the head of the Zipfian word distribution carries
   almost all pair mass, and ``max_words`` rows on the driver is O(MB);
 * tokenization back over the corpus is a broadcast of the learned
-  merge ranks (``ray.put`` once) + a vectorized-per-doc actor-pool
+  merge ranks (``ray.put`` once) + a vectorized-per-doc task
   ``map_batches`` applying merges greedily by rank — the standard BPE
   encode.
 

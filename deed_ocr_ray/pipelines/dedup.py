@@ -448,9 +448,9 @@ _BIT_WEIGHTS = (np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64))  # MSB-f
 
 
 class SimHashBatch:
-    """Vectorized batch SimHash with a per-actor token-hash cache.
+    """Vectorized batch SimHash with a per-instance token-hash cache.
 
-    blake2b runs ONCE per distinct token across the actor's lifetime;
+    blake2b runs ONCE per distinct token across the instance's lifetime;
     per batch the work is one vectorized unpackbits over the distinct-
     token hash array and one fancy-index ``np.add.at`` accumulation —
     the matmul-style bit-count path (vs. the scalar loop: ≥10x).

@@ -7,12 +7,12 @@ ALL providers failed, and return the highest-confidence result — the
 reference's ``max()`` keeps the FIRST maximal element, i.e. ties break
 by provider order.
 
-Ray-Data shape: the provider list is actor state (one construction per
-worker — the A2 engine-instance pattern, vision_llm.py:40-49 model
-loaded per extractor instance), consensus is an in-actor reduction, and
-the stage is one ``map_batches`` over the documents table — k providers
-never multiply the shuffle, because the fan-out/fan-in happens inside
-the actor.
+Ray-Data shape: the provider list is stage state (the A2
+engine-instance pattern, vision_llm.py:40-49 model loaded per extractor
+instance), consensus is an in-batch reduction, and the stage is one
+task ``map_batches`` over the documents table — k providers never
+multiply the shuffle, because the fan-out/fan-in happens inside the
+call.
 
 Providers here are deterministic scoring functions (the environment has
 no model weights), chosen so the whole operator is SQL-expressible and
@@ -56,7 +56,7 @@ DEFAULT_PROVIDERS: List[Provider] = [
 
 
 class EnsembleScorer:
-    """Actor: k providers constructed once per worker; per row, run all,
+    """Callable stage holding k providers; per row, run all,
     absorb per-provider exceptions, keep the first-max-confidence
     result (vision_llm.py:199-217 semantics). A row where every
     provider failed gets status='error' (the reference raises
@@ -102,7 +102,7 @@ def q_ensemble_extract(sf_dir: str) -> "ray.data.Dataset":
     """Ensemble-consensus extraction over documents.
     Columns: doc_id, winner, confidence, extracted, status."""
     ds = read_pq(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return ds.map_batches(EnsembleScorer, batch_format="pyarrow", concurrency=(1, 8))
+    return ds.map_batches(EnsembleScorer(), batch_format="pyarrow")
 
 
 # DuckDB-equivalent of the deterministic provider set + first-max-wins

@@ -407,12 +407,14 @@ def dump_page_debug(input_path: Union[str, Sequence[str]], dest: str) -> Dict[st
             "n_pages": pa.array([n_pages], type=pa.int64()),
         })
 
-    counts = ds.map_batches(dump, batch_format="pyarrow")
-    return {
-        "n_docs": int(counts.sum("n_docs") or 0),
-        "n_pages": int(counts.sum("n_pages") or 0),
-        "dest": dest,
-    }
+    # one streaming pass: a Dataset.sum() per counter would run the whole
+    # job (parse + write every page file) once per call
+    n_docs = n_pages = 0
+    for t in ds.map_batches(dump, batch_format="pyarrow").iter_batches(
+            batch_size=None, batch_format="pyarrow"):
+        n_docs += pc.sum(t["n_docs"]).as_py()
+        n_pages += pc.sum(t["n_pages"]).as_py()
+    return {"n_docs": n_docs, "n_pages": n_pages, "dest": dest}
 
 
 def iter_extracted(

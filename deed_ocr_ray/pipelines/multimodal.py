@@ -2,7 +2,7 @@
 
 Images/audio/video are carried as ``binary`` columns with a metadata
 struct; decode / feature-extract / resize / frame-sample run as
-actor-pool ``map_batches`` stages.
+task ``map_batches`` stages (a callable-class instance each).
 
 Decode is REAL for PNG, binary PPM, and baseline JPEG — pure-stdlib
 codecs implemented from the public specs (``functions/imagecodec.py``:
@@ -99,14 +99,14 @@ def decode_image(payload: bytes) -> np.ndarray:
 
 
 class MediaDecoder:
-    """Actor-pool decode stage: binary column in, metadata struct out.
+    """Decode stage: binary column in, metadata struct out.
 
     PNG/PPM/JPEG payloads get REAL header/pixel-derived metadata; other
     formats use the deterministic fake unless ``require_real_codecs``
     (then they raise at decode time — the per-format stub boundary).
 
     Keep ``batch_size`` SMALL for fat binary rows (payload × batch ×
-    concurrency must fit the worker heap); the pipeline builder below
+    concurrent tasks must fit the worker heap); the pipeline builder below
     defaults to 32 rows/batch for exactly that reason.
     """
 
@@ -159,7 +159,7 @@ class MediaDecoder:
 
 
 class ImageFeatures:
-    """Actor-pool stage doing REAL pixel work per row: decode
+    """Stage doing REAL pixel work per row: decode
     (PNG/PPM/JPEG) → nearest-resize to ``thumb`` × ``thumb`` → feature
     extraction
     (channel means, std, brightness-histogram entropy). The A4
@@ -194,7 +194,7 @@ class ImageFeatures:
 
 
 class FrameSampler:
-    """Actor-pool frame-sampling stage (video analogue of the PDF
+    """Frame-sampling stage (video analogue of the PDF
     page-explode S2): emits one row per sampled frame index, payload
     replaced by a per-frame sha1 (the stub 'decoded frame')."""
 
@@ -256,17 +256,16 @@ def q_media_pipeline(sf_dir: str) -> "ray.data.Dataset":
         }),
         batch_format="pyarrow",
     )
-    ds = ds.map_batches(MediaDecoder, batch_format="pyarrow",
-                        batch_size=32, concurrency=(1, 4))
-    return ds.map_batches(FrameSampler, fn_constructor_kwargs={"every_n": 2},
-                          batch_format="pyarrow", batch_size=256, concurrency=(1, 4))
+    ds = ds.map_batches(MediaDecoder(), batch_format="pyarrow", batch_size=32)
+    return ds.map_batches(FrameSampler(every_n=2), batch_format="pyarrow",
+                          batch_size=256)
 
 
 def q_image_features(sf_dir: str) -> "ray.data.Dataset":
     """REAL image pipeline: deterministic payloads — PNG for two of
     every three docs (every scanline filter exercised), baseline JPEG
     for the third (both 4:4:4 and 4:2:0) — → in-repo decode → resize →
-    features, all in actor-pool stages with small batches (fat-row
+    features, all in task stages with small batches (fat-row
     guidance). Columns: doc_id, width, height, mean_r, mean_g, mean_b,
     std, entropy. (No SQL oracle: pixel math not expressible in SQL.)"""
     ds = read_pq(f"{sf_dir}/documents.parquet", columns=["doc_id"])
@@ -281,12 +280,11 @@ def q_image_features(sf_dir: str) -> "ray.data.Dataset":
         })
 
     ds = ds.map_batches(make_payloads, batch_format="pyarrow")
-    return ds.map_batches(ImageFeatures, batch_format="pyarrow",
-                          batch_size=64, concurrency=(1, 4))
+    return ds.map_batches(ImageFeatures(), batch_format="pyarrow", batch_size=64)
 
 
 class AudioFeatures:
-    """Actor-pool stage doing REAL signal work per row: PCM WAV decode
+    """Stage doing REAL signal work per row: PCM WAV decode
     (``functions/wavcodec.py``) → mono mix → numpy features (RMS,
     zero-crossing rate, rFFT spectral centroid). The audio sibling of
     ``ImageFeatures`` — same fat-row guidance (small batches)."""
@@ -336,7 +334,7 @@ def synth_wav(doc_id: int, rate: int = 8000, n: int = 1024) -> bytes:
 
 def q_audio_features(sf_dir: str) -> "ray.data.Dataset":
     """REAL audio pipeline: deterministic PCM-WAV payloads (mono/stereo,
-    8/16-bit) → in-repo decode → numpy signal features, in actor-pool
+    8/16-bit) → in-repo decode → numpy signal features, in task
     stages with small batches. Columns: doc_id, n_samples, channels,
     sample_rate, duration_s, rms, zcr, centroid_hz. (No SQL oracle:
     FFT math not expressible in SQL; exactness vs a local decode is
@@ -352,5 +350,4 @@ def q_audio_features(sf_dir: str) -> "ray.data.Dataset":
         })
 
     ds = ds.map_batches(make_payloads, batch_format="pyarrow")
-    return ds.map_batches(AudioFeatures, batch_format="pyarrow",
-                          batch_size=64, concurrency=(1, 4))
+    return ds.map_batches(AudioFeatures(), batch_format="pyarrow", batch_size=64)

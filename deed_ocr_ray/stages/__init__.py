@@ -1,1 +1,2 @@
-"""Batch transforms for ``Dataset.map_batches`` (stateless fns + actor classes)."""
+"""Batch transforms for ``Dataset.map_batches``: plain functions and
+callable classes whose instances run as task stages."""

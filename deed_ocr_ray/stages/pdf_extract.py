@@ -393,7 +393,7 @@ def parse_pdf_layout(raw: bytes) -> List[Dict]:
 
 
 class PdfLayoutStage:
-    """Actor-pool batch stage: pages table in → layout hierarchy out.
+    """Batch stage: pages table in → layout hierarchy out.
 
     ``flatten=False`` emits one row per input PDF with the full nested
     ``layout`` column (:data:`LAYOUT_TYPE` — the vision_ocr.py:292-342

@@ -182,6 +182,29 @@ def test_debug_dump_page_files(run_dir, tmp_path, capsys):
     assert open(os.path.join(dest, mine[0])).read().strip()
 
 
+def test_debug_dump_runs_the_job_once(run_dir, tmp_path, monkeypatch):
+    """Both counters come from one Ray Data execution: every PDF is
+    parsed and every page file written once, not once per counter."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from deed_ocr_ray.pipelines.extract_pipeline import dump_page_debug
+
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        executions.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    corpus, _ = run_dir
+    dest = str(tmp_path / "pages_debug")
+    counts = dump_page_debug(corpus, dest)
+    assert len(executions) == 1
+    assert counts["n_pages"] == len(os.listdir(dest)) > 0
+    assert counts["n_docs"] > 0
+
+
 def test_extractor_registry_override(ray_session):
     from deed_ocr_ray.stages.extract import BRANCHES, extract_row
 

@@ -3,12 +3,12 @@
 Runs the queries of ``__ray_entry__.queries()`` in alternating
 subprocesses, one per checkout and pass (A B, B A, A B, ...), each with
 its own Ray session of ``--cpus`` CPUs. The query order rotates by one
-on each pair of passes and is the same on both sides of a pair, so a
-stall that hits whichever query runs at some point of a pass (a cold
-worker starting after an actor-pool query) lands on a different query
-each time. Prints per-query median seconds, the B/A ratio and
-whether the value hashes (``check_oracles.value_hash``) agree across
-every pass of both sides. Usage:
+on each pair of passes and is the same on both sides of a pair. That
+spreads order effects over the queries, including the cold-worker
+stall after an actor-pool query in checkouts whose stages still ran as
+actor pools, which hit whichever query ran next. Prints per-query
+median seconds, the B/A ratio and whether the value hashes
+(``check_oracles.value_hash``) agree across every pass of both sides. Usage:
 
     python tools/ab_queries.py <checkout A> <checkout B> --sf <sf_dir> \\
         [--cpus 4] [--reps 3] [query ...]
