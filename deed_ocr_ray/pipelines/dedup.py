@@ -36,9 +36,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Max, Sum
 from ..sources.pages import read_pq
-from .exchange import gather, keyed_aggregate, keyed_exchange, keyed_join
+from .exchange import (gather, keyed_aggregate, keyed_exchange, keyed_join,
+                       total)
 
 # ------------------------------------------------------------- exact dedup
 
@@ -385,32 +385,20 @@ def _overflow_summary(over: "ray.data.Dataset", count_col: str) -> "ray.data.Dat
     """Collapse overflow sentinel rows ``(doc_a=-1, doc_b=size,
     count_col=count of buckets with that size)`` into the one-row
     observability summary shared by :func:`q_lsh_overflow` and
-    :func:`q_simhash_overflow`."""
-    if over.count() == 0:
-        row = {"n_overflow_buckets": 0, "max_bucket_size": 0, "dropped_doc_slots": 0}
-    else:
-        # tiny aggregate scalars, driver-safe
-        def partial(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "n_buckets": pa.array([pc.sum(t[count_col]).as_py() or 0], type=pa.int64()),
-                "max_size": pa.array([pc.max(t["doc_b"]).as_py() or 0], type=pa.int64()),
-                "slots": pa.array(
-                    [pc.sum(pc.multiply(t["doc_b"], t[count_col].cast(pa.int64()))).as_py() or 0],
-                    type=pa.int64()),
-            })
+    :func:`q_simhash_overflow`, zeros when there is none. ``over``
+    runs once."""
+    def slots(t: pa.Table) -> pa.Table:
+        return t.append_column("slots", pc.multiply(
+            t["doc_b"].cast(pa.int64()), t[count_col].cast(pa.int64())))
 
-        agg = over.map_batches(partial, batch_format="pyarrow")
-        total = agg.aggregate(
-            Sum("n_buckets", alias_name="nb"),
-            Max("max_size", alias_name="mx"),
-            Sum("slots", alias_name="sl"),
-        )
-        row = {
-            "n_overflow_buckets": int(total["nb"]),
-            "max_bucket_size": int(total["mx"]),
-            "dropped_doc_slots": int(total["sl"]),
-        }
-    return ray.data.from_items([row])
+    agg = total(over.map_batches(slots, batch_format="pyarrow"),
+                {"nb": (count_col, "sum"), "mx": ("doc_b", "max"),
+                 "sl": ("slots", "sum")})
+    return ray.data.from_items([{
+        "n_overflow_buckets": agg["nb"] or 0,
+        "max_bucket_size": agg["mx"] or 0,
+        "dropped_doc_slots": agg["sl"] or 0,
+    }])
 
 
 def q_lsh_overflow(sf_dir: str, max_bucket: int = MAX_BUCKET) -> "ray.data.Dataset":
@@ -421,8 +409,7 @@ def q_lsh_overflow(sf_dir: str, max_bucket: int = MAX_BUCKET) -> "ray.data.Datas
     nothing overflowed. Columns: n_overflow_buckets, max_bucket_size,
     dropped_doc_slots. (No SQL oracle: sketch internals.)"""
     over = _candidate_pairs(minhash_sigs(sf_dir), max_bucket=max_bucket).filter(
-        expr="doc_a < 0"
-    ).materialize()  # tiny (one row per overflowed bucket size)
+        expr="doc_a < 0")  # tiny (one row per overflowed bucket size)
     return _overflow_summary(over, count_col="n_bands")
 
 
@@ -615,8 +602,7 @@ def q_simhash_overflow(sf_dir: str, max_bucket: int = MAX_BUCKET) -> "ray.data.D
     n_overflow_buckets, max_bucket_size, dropped_doc_slots.
     (No SQL oracle: sketch internals.)"""
     over = _simhash_candidates(sf_dir, max_bucket=max_bucket).filter(
-        expr="doc_a < 0"
-    ).materialize()  # tiny (one row per distinct overflowed bucket size)
+        expr="doc_a < 0")  # tiny (one row per distinct overflowed bucket size)
     return _overflow_summary(over, count_col="n_buckets")
 
 
@@ -835,7 +821,7 @@ def q_neardup_clusters(
         }),
         batch_format="pyarrow",
     ).materialize()
-    prev_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
+    prev_sum = total(labels, {"s": ("label", "sum")})["s"]
 
     for _ in range(max_iters):
         # neighbour messages: every edge forwards its node's label
@@ -846,7 +832,7 @@ def q_neardup_clusters(
         # materialized once for the convergence sum and the next sweep
         labels = keyed_aggregate(labels.union(msgs), "node",
                                  {"label": ("label", "min")})
-        cur_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
+        cur_sum = total(labels, {"s": ("label", "sum")})["s"]
         if cur_sum == prev_sum:  # monotone fixpoint reached
             break
         prev_sum = cur_sum

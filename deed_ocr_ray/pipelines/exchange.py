@@ -42,18 +42,24 @@ schema-less empty blocks).
 One global operation is ordered rather than keyed: numbering or
 running-summing rows in a total order (SQL ``ROW_NUMBER`` /
 ``SUM OVER (ORDER BY ...)``, Spark's ``zipWithIndex``).
-:func:`ordered_offsets` does it with one sort and block offsets folded
-on the driver — every window packing, global rank and token budget
-goes through it.
+:func:`ordered_offsets` does it on the same task exchange, range
+partitioned: the driver cuts the ranges from sample rows, each map task
+sorts its block and counts its rows and weights per range, and from
+those counts each range's reduce task knows its offset, so it sorts its
+rows and stamps them — every window packing, global rank and token
+budget goes through it.
 
-Two global operations need no key at all: a single reduce and a
-top-k. :func:`gather` runs a fold once over every row, concatenated
-in block order, in one plain task (a sketch merge, a global quantile,
-a moving window over a small aggregate); :func:`top_k` cuts each block
-to its own top ``k`` in one task per block as the block lands, then
-gathers the candidates through the same cut. Neither is a Ray Data
-all-to-all operator: no ``repartition(1)`` barrier and no sampled
-``sort`` whose empty ranges come out as schema-less blocks.
+Three global operations need no key at all: a single reduce, a top-k
+and a total. :func:`gather` runs a fold once over every row,
+concatenated in block order, in one plain task (a sketch merge, a
+global quantile, a moving window over a small aggregate); :func:`top_k`
+cuts each block to its own top ``k`` in one task per block as the block
+lands, then gathers the candidates through the same cut; :func:`total`
+folds each block to one row of sums, counts, mins and maxes in one task
+per block and refolds those rows on the driver (a convergence sum, a
+revenue total). None is a Ray Data all-to-all operator: no
+``repartition(1)`` barrier, no sampled ``sort`` whose empty ranges come
+out as schema-less blocks, and no ``Dataset.aggregate`` execution.
 """
 
 from __future__ import annotations
@@ -157,16 +163,17 @@ def _sort_block(block: pa.Table, key: str | None) -> tuple:
 
 
 @ray.remote(num_returns=2)
-def _fold_range(fold: Callable, sides: int, spans: list, *blocks) -> tuple:
+def _fold_range(fold: Callable, sides: int, spans: list, *blocks,
+                args: tuple = ()) -> tuple:
     """Reduce task of the exchange: ``fold`` over one range of parts,
     and the block metadata (rows, schema) of its output. ``fold`` gets
     one list per input side of the range's slices of the sorted blocks,
-    in block order; ``spans`` holds the ``(side, first row, end row)``
-    of each block."""
+    in block order, then ``args``; ``spans`` holds the ``(side, first
+    row, end row)`` of each block."""
     slices = [[] for _ in range(sides)]
     for (side, lo, hi), block in zip(spans, blocks):
         slices[side].append(block.slice(lo, hi - lo))
-    out = fold(*slices)
+    out = fold(*slices, *args)
     return out, get_table_block_metadata_schema(out)
 
 
@@ -199,17 +206,25 @@ def _exchange(sides: list, fold: Callable, ranges: int = 0) -> list:
     the cluster's CPUs, whichever is more, but no more than there are
     part ids, so no range is empty; one :func:`_fold_range` task per
     range runs ``fold``. A one-block input still folds on every CPU.
-    Only the per-block part counts reach the driver. Returns
-    ``(output ref, block metadata)`` per range, in part order."""
+    Only the per-block part counts reach the driver. When the map
+    tasks' counts carry a third array, a total per part (the weights of
+    :func:`_range_sort`), ``fold`` gets one more argument: the sum of
+    the totals of every part before its range. Returns ``(output ref,
+    block metadata)`` per range, in part order."""
     maps = [(side, *refs) for side, ms in enumerate(sides) for refs in ms]
     counts = ray.get([c for _, _, c in maps])
     present = np.unique(np.concatenate(
-        [np.empty(0, dtype=np.int32), *(ids for ids, _ in counts)]))
+        [np.empty(0, dtype=np.int32), *(c[0] for c in counts)]))
     n = min(len(present), max(ranges or len(maps), cluster_cpus()))
-    cuts = present[np.arange(1, n) * len(present) // n]
+    firsts = present[np.arange(n) * len(present) // n]  # each range's first part
+    cuts = firsts[1:]
     # edges[b][r]: the first row of range r in sorted block b
     edges = [np.r_[0, np.cumsum(c)][np.r_[0, np.searchsorted(ids, cuts), len(ids)]]
-             for ids, c in counts]
+             for ids, c, *_ in counts]
+    args = [()] * n
+    if any(len(c) > 2 for c in counts):
+        ids, totals = (np.concatenate([c[i] for c in counts]) for i in (0, 2))
+        args = [(int(totals[ids < first].sum()),) for first in firsts]
     fold_ref = ray.put(fold)  # pickled once, not once per range task
     task = _fold_range.options(name=fold.__name__)
     outs = []
@@ -218,7 +233,7 @@ def _exchange(sides: list, fold: Callable, ranges: int = 0) -> list:
         outs.append(task.remote(
             fold_ref, len(sides),
             [(maps[b][0], int(edges[b][r]), int(edges[b][r + 1])) for b in live],
-            *(maps[b][1] for b in live)))
+            *(maps[b][1] for b in live), args=args[r]))
     range_rows = [sum(int(e[r + 1] - e[r]) for e in edges) for r in range(n)]
     log.debug("exchange %s: %d rows in %d blocks, %d ranges, "
               "max %d / median %d rows per range", fold.__name__,
@@ -281,9 +296,10 @@ def part_exchange(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
 
 def _whole(fold: Callable) -> Callable:
     """``fold`` (Arrow table -> Arrow table) as a :func:`_fold_range`
-    fold: it gets the slices concatenated in order."""
-    def whole(slices: list) -> pa.Table:
-        return fold(concat(slices, promote_types=True))
+    fold: it gets the slices concatenated in order (and the range's
+    extra arguments, if any)."""
+    def whole(slices: list, *args) -> pa.Table:
+        return fold(concat(slices, promote_types=True), *args)
 
     whole.__name__ = fold.__name__  # names the task
     return whole
@@ -311,6 +327,16 @@ def gather(ds: "ray.data.Dataset", fold: Callable) -> "ray.data.Dataset":
     return _gather([(ref, meta.num_rows) for ref, meta in _nonempty(ds)], fold)
 
 
+def _sort_keys(by, descending) -> list:
+    """``by`` (a column name or a list of names) and ``descending`` (a
+    bool or one per name) as Arrow ``sort_by`` keys."""
+    by = [by] if isinstance(by, str) else list(by)
+    if isinstance(descending, bool):
+        descending = [descending] * len(by)
+    return [(c, "descending" if d else "ascending")
+            for c, d in zip(by, descending)]
+
+
 def top_k(ds: "ray.data.Dataset", by, k: int,
           descending=False) -> "ray.data.Dataset":
     """The first ``k`` rows of ``ds`` in the order ``by`` (a column name
@@ -321,11 +347,7 @@ def top_k(ds: "ray.data.Dataset", by, k: int,
     it to its own top ``k``; one :func:`gather` cuts the candidates.
     Runs ``ds`` before returning; an input without rows gives an
     untyped empty Dataset."""
-    by = [by] if isinstance(by, str) else list(by)
-    if isinstance(descending, bool):
-        descending = [descending] * len(by)
-    order = [(c, "descending" if d else "ascending")
-             for c, d in zip(by, descending)]
+    order = _sort_keys(by, descending)
 
     def top_k(t: pa.Table) -> pa.Table:
         return t.sort_by(order).slice(0, k)
@@ -458,20 +480,46 @@ def keyed_join(left: "ray.data.Dataset", right: "ray.data.Dataset", on: str,
 
 
 @ray.remote
-def _weight_sum(block: pa.Table, weight: str) -> int:
-    return int(pc.sum(block[weight]).as_py() or 0)
+def _sample(block: pa.Table, by: list, k: int) -> pa.Table:
+    """``k`` evenly spaced rows of ``block``'s ``by`` columns."""
+    return block.select(by).take(np.arange(k) * block.num_rows // k)
 
 
 @ray.remote(num_returns=2)
-def _stamp(block: pa.Table, column: str, start: int, weight) -> tuple:
-    """``block`` with an int64 ``column``: ``start`` plus the exclusive
-    running sum of ``weight`` (of 1 per row when ``weight`` is None),
-    and its block metadata."""
-    w = (np.ones(block.num_rows, dtype=np.int64) if weight is None
-         else block[weight].fill_null(0).to_numpy().astype(np.int64))
-    out = block.append_column(
-        column, pa.array(start + np.cumsum(w) - w, type=pa.int64()))
-    return out, get_table_block_metadata_schema(out)
+def _range_sort(block: pa.Table, order: list, bounds: pa.Table,
+                weight: str | None) -> tuple:
+    """Map task of :func:`ordered_offsets`: ``block`` sorted by
+    ``order``, and the ranges its rows fall in with their row counts and
+    weight totals (``(ids, counts, totals)``, as :func:`_exchange`
+    takes them). Range ``r`` holds the rows from boundary row ``r - 1``
+    of ``bounds`` (rows equal to it included) up to boundary row ``r``
+    (rows equal to it excluded). One Arrow sort of the block's keys
+    merged with the boundaries gives both: a boundary sorts before the
+    rows equal to it, so the rows before the ``j``-th boundary in the
+    merged order are the rows of ranges ``0..j``."""
+    n, cut = block.num_rows, bounds.num_rows
+    keys = concat([block.select(bounds.column_names), bounds], promote_types=True)
+    names = [str(i) for i in range(keys.num_columns)]
+    merged = pa.table(keys.columns + [pa.array(np.r_[np.ones(n, np.int8),
+                                                     np.zeros(cut, np.int8)])],
+                      names=names + ["row"])
+    idx = pc.sort_indices(merged, sort_keys=[
+        (name, how) for name, (_, how) in zip(names, order)] + [("row", "ascending")]
+    ).to_numpy()
+    bound = idx >= n
+    edges = np.r_[0, np.flatnonzero(bound) - np.arange(cut), n]
+    out = block.take(idx[~bound])
+    counts = np.diff(edges)
+    totals = np.diff(np.r_[0, np.cumsum(_weights(out, weight))][edges])
+    ids = np.flatnonzero(counts)
+    return out, (ids, counts[ids], totals[ids])
+
+
+def _weights(t: pa.Table, weight: str | None) -> np.ndarray:
+    """Each row's int64 weight: ``t[weight]`` with nulls as 0, or 1."""
+    if weight is None:
+        return np.ones(t.num_rows, dtype=np.int64)
+    return t[weight].fill_null(0).to_numpy().astype(np.int64)
 
 
 def ordered_offsets(ds: "ray.data.Dataset", by, column: str, *,
@@ -483,37 +531,85 @@ def ordered_offsets(ds: "ray.data.Dataset", by, column: str, *,
     the integer column ``weight`` in that order, or its 0-based row
     number when ``weight`` is None — SQL's ``SUM(weight) OVER (ORDER BY
     by ROWS UNBOUNDED PRECEDING) - weight`` and ``ROW_NUMBER() - 1``.
-    Null weights count 0. Ties in ``by`` are numbered in an arbitrary
-    order, so callers pass a total order.
+    Null weights count 0; null keys sort last, in either direction.
+    Ties in ``by`` are numbered in an arbitrary order, so callers pass
+    a total order.
 
-    Plan: one sort, materialized once. Its blocks come out in sort
-    order, so their place in the global order is their block index:
-    per-block totals (row counts from block metadata, or one small
-    ``sum(weight)`` task per block) fold into exclusive block offsets
-    on the driver, and one plain task per non-empty block stamps
-    ``offset + running sum`` and returns the stamped block's metadata,
-    from which the output is built. No row crosses a second exchange;
-    only a total and a block metadata per block reach the driver.
+    Plan: a range-partitioned exchange whose ranges the driver cuts
+    itself, one range per input block (Ray's sort kept the block count
+    too, and a finer cut of a small input only adds tasks downstream).
+    One small task per input block returns evenly spaced sample rows of
+    ``by`` (about ten per range, each block's share by its rows); the
+    driver sorts them and picks one boundary row less than there are
+    ranges. One map task per block sorts it and counts its rows and
+    weights per range (:func:`_range_sort`); from those counts the
+    driver knows every range's offset, and :func:`_exchange`'s reduce
+    task per range sorts the range's rows and stamps ``offset + running
+    sum``. A one-block input is one range. Only samples, counts and
+    the output's block metadata reach the driver; the input runs once.
 
     Runs ``ds`` before returning. The output is materialized (its
     ``count()`` is free) and has no empty block. An empty output is one
-    empty block with the input's schema plus ``column`` (Ray's sort
-    drops the schema of empty output, so the input runs once more for
-    it), or untyped when the input is."""
-    ordered = ds.sort(by, descending=descending).materialize()
-    blocks = _nonempty(ordered)
+    empty block with the input's schema plus ``column``, or untyped
+    when the input is."""
+    order = _sort_keys(by, descending)
+    blocks, schema = [], None
+    for bundle in ds.iter_internal_ref_bundles():
+        blocks += [(ref, meta.num_rows) for ref, meta in bundle.blocks
+                   if meta.num_rows]
+        schema = schema or bundle.schema
     if not blocks:
-        # Ray's sort leaves no schema on empty output: take the input's
-        schema = ds.schema()
-        if schema is None:
-            return ordered
-        return _from_blocks([_local(schema.base_schema.append(
-            pa.field(column, pa.int64())).empty_table())])
-    refs = [ref for ref, _ in blocks]
-    totals = ([meta.num_rows for _, meta in blocks] if weight is None
-              else ray.get([_weight_sum.remote(ref, weight) for ref in refs]))
-    starts = np.cumsum([0] + totals[:-1]).tolist()
-    stamped = [_stamp.remote(ref, column, start, weight)
-               for ref, start in zip(refs, starts)]
-    metas = ray.get([meta for _, meta in stamped])
-    return _from_blocks([(ref, meta) for (ref, _), meta in zip(stamped, metas)])
+        if not schema:
+            return _dataset([])
+        return _from_blocks([_local(
+            schema.append(pa.field(column, pa.int64())).empty_table())])
+
+    def ordered_offsets(t: pa.Table, start: int) -> pa.Table:
+        t = t.sort_by(order)
+        w = _weights(t, weight)
+        return t.append_column(
+            column, pa.array(start + np.cumsum(w) - w, type=pa.int64()))
+
+    ranges, rows = len(blocks), sum(n for _, n in blocks)
+    by = [c for c, _ in order]
+    samples = concat(ray.get([
+        _sample.remote(ref, by, min(n, -(-10 * ranges * n // rows)))
+        for ref, n in blocks]), promote_types=True).sort_by(order)
+    bounds = ray.put(samples.take(
+        np.arange(1, ranges) * samples.num_rows // ranges))
+    maps = [_range_sort.remote(ref, order, bounds, weight) for ref, _ in blocks]
+    return _dataset(_exchange([maps], _whole(ordered_offsets)))
+
+
+@ray.remote
+def _partial(block: pa.Table, specs: list) -> pa.Table:
+    """``specs`` aggregated over all of ``block``: one row."""
+    return block.group_by([], use_threads=False).aggregate(specs)
+
+
+def total(ds: "ray.data.Dataset", aggs: dict) -> dict:
+    """The global aggregate of ``ds``: ``aggs`` (as in
+    :func:`keyed_aggregate`: output name -> ``(column, fn)``) over all
+    rows, as a dict of Python values. Nulls are skipped, so a sum, min
+    or max over no non-null value is None, and a count 0 — also on an
+    input without rows.
+
+    Plan: one small task per non-empty block, started as the block
+    lands, folds it to one row with Arrow's keyless ``group_by``; the
+    driver refolds those rows the same way (counts and sums add, mins
+    and maxes fold again). No Ray Data all-to-all operator: the input
+    runs once, and a materialized input (an exchange output) starts no
+    Ray Data executor."""
+    names = list(aggs)
+    task = _partial.options(name="total")
+    specs = [([] if col is None else col, fn) for col, fn in aggs.values()]
+    parts = ray.get([task.remote(ref, specs)
+                     for bundle in ds.iter_internal_ref_bundles()
+                     for ref, meta in bundle.blocks if meta.num_rows])
+    if not parts:
+        return {name: 0 if fn.startswith("count") else None
+                for name, (_, fn) in aggs.items()}
+    row = concat(parts, promote_types=True).rename_columns(names).group_by(
+        [], use_threads=False).aggregate(
+        [(name, _REFOLD[fn]) for name, (_, fn) in aggs.items()])
+    return {name: col[0].as_py() for name, col in zip(names, row.columns)}

@@ -37,7 +37,7 @@ import ray.data
 
 from ..functions.sniff import JUNK_REPLACEMENT_RATIO, decode_html
 from .corpus import pages_corpus_for
-from .exchange import keyed_aggregate, keyed_exchange, keyed_join
+from .exchange import keyed_aggregate, keyed_exchange, keyed_join, total
 
 # whole <a> tag (attrs + body; nested <a> is invalid HTML, body is
 # non-greedy to the nearest close tag), then href / rel parsed from the
@@ -397,7 +397,8 @@ def pagerank_dataset(
                              how="left outer")
         sums = keyed_aggregate(contrib.map_batches(_contrib, batch_format="pyarrow"),
                                "host", {"s": ("s", "sum")})
-        dangling = max(0.0, 1.0 - (sums.sum("s") or 0.0))
+        mass = total(sums, {"s": ("s", "sum")})["s"]
+        dangling = max(0.0, 1.0 - (mass or 0.0))
         a, b = damping, (1.0 - damping) / n_hosts + damping * dangling / n_hosts
 
     return keyed_join(hosts, sums, "host", how="left outer").map_batches(

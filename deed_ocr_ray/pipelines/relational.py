@@ -31,9 +31,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Sum
 from ..sources.pages import read_pq
-from .exchange import gather, keyed_aggregate, keyed_join, top_k
+from .exchange import gather, keyed_aggregate, keyed_join, top_k, total
 
 
 def _cents(arr: pa.ChunkedArray) -> pa.ChunkedArray:
@@ -117,24 +116,20 @@ def q6_revenue_filter(sf_dir: str) -> "ray.data.Dataset":
         ),
     )
 
-    def partial(t: pa.Table) -> pa.Table:
+    def revenue(t: pa.Table) -> pa.Table:
         mask = pc.and_(
             pc.and_(pc.greater_equal(t["l_discount"], 0.02),
                     pc.less_equal(t["l_discount"], 0.04)),
             pc.less(t["l_quantity"], 10.0),
         )
         f = t.filter(mask)
-        rev = pc.multiply(f["l_extendedprice"], f["l_discount"])
-        rev_c = _cents(rev)
-        return pa.table({
-            "rev_c": pa.array([pc.sum(rev_c).as_py() or 0], type=pa.int64()),
-            "n": pa.array([f.num_rows], type=pa.int64()),
-        })
+        return pa.table({"rev_c": _cents(pc.multiply(f["l_extendedprice"],
+                                                     f["l_discount"]))})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = partials.aggregate(Sum("rev_c"), Sum("n"))
+    agg = total(ds.map_batches(revenue, batch_format="pyarrow"),
+                {"rev_c": ("rev_c", "sum"), "n": (None, "count_all")})
     return ray.data.from_items(
-        [{"revenue": (agg["sum(rev_c)"] or 0) / 100.0, "n_rows": agg["sum(n)"] or 0}]
+        [{"revenue": (agg["rev_c"] or 0) / 100.0, "n_rows": agg["n"] or 0}]
     )
 
 

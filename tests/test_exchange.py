@@ -561,7 +561,7 @@ def test_exchange_output_needs_no_metadata_tasks(ray_session, monkeypatch):
     # no input row: an untyped empty Dataset
     empty = part_exchange(_part_input().filter(expr="x < 0"), _keep_part(0))
     assert empty.count() == 0 and empty.schema() is None
-    # ordered_offsets' stamp tasks return their metadata too
+    # ordered_offsets' reduce tasks, which stamp, return their metadata too
     ranked = ordered_offsets(_blocks(keys, 3), "k", "rank")
     assert ranked.count() == 600 and ranked.schema().names == ["k", "rank"]
     # and so do the gather and top-k tasks
@@ -670,6 +670,119 @@ def test_ordered_offsets_empty_input(ray_session, schema_warnings, empty):
         assert out.schema().names == ["k", "id", "w", "off"]
         assert out.schema().base_schema.field("off").type == pa.int64()
     assert schema_warnings == []
+
+
+@pytest.mark.parametrize("n_blocks", [1, 6])
+@pytest.mark.parametrize("descending", [[False, False], [True, False]],
+                         ids=["asc", "desc_asc"])
+def test_ordered_offsets_null_keys(ray_session, descending, n_blocks):
+    """A leading key with nulls (a fifth of the rows) and a hot value:
+    nulls sort last in either direction, as Arrow's ``sort_by`` puts
+    them, and the offsets equal the single-process reference — over
+    several ranges, and over the one range of a one-block input."""
+    from deed_ocr_ray.pipelines.exchange import ordered_offsets
+
+    t = _scan_input(3000)
+    k = t["k"].to_numpy()
+    g = pa.array(k, mask=np.arange(len(k)) % 5 == 0)
+    t = t.set_column(0, "k", g)
+    out = ordered_offsets(_blocks(t, n_blocks), ["k", "id"], "off",
+                          descending=descending, weight="w")
+    got = pa.concat_tables(ray_session.get(out.to_arrow_refs()))
+    assert got.equals(_scan_reference(t, ["k", "id"], descending, "w"))
+    assert got["k"].null_count == g.null_count
+    assert got["k"].slice(got.num_rows - g.null_count).null_count == g.null_count
+
+
+def _executions(monkeypatch) -> list:
+    """A list that grows by one per Ray Data execution started."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    started, execute = [], StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        started.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return started
+
+
+def test_ordered_offsets_empty_input_runs_once(ray_session, tmp_path, monkeypatch):
+    """Input a filter leaves without rows runs once (no second run for
+    its schema) and still gives its typed columns plus the offset."""
+    from deed_ocr_ray.pipelines.exchange import ordered_offsets
+
+    t = _scan_input(200)
+    log = tmp_path / "calls"
+    ds = _logged_blocks(t, 8, log).filter(expr="k < 0")
+    started = _executions(monkeypatch)
+    out = ordered_offsets(ds, ["k", "id"], "off", descending=[True, False])
+    assert log.read_text().count("call") == 8
+    assert len(started) == 1
+    assert out.count() == 0
+    assert out.schema().base_schema == t.schema.append(pa.field("off", pa.int64()))
+
+
+# ------------------------------------------------------------------ total
+
+_TOTALS = {"s": ("v", "sum"), "c": ("v", "count"), "n": (None, "count_all"),
+           "lo": ("v", "min"), "hi": ("v", "max"), "fs": ("f", "sum"),
+           "fhi": ("f", "max"), "none_s": ("z", "sum"), "none_c": ("z", "count"),
+           "none_lo": ("z", "min"), "slo": ("name", "min")}
+
+
+def _total_input(n=800):
+    """``n`` rows: int ``v`` and float ``f`` with nulls, an all-null
+    ``z`` and a string ``name``."""
+    rng = np.random.default_rng(5)
+    v = rng.integers(-1000, 1000, n)
+    return pa.table({
+        "v": pa.array([None if i % 9 == 0 else int(x) for i, x in enumerate(v)],
+                      type=pa.int32()),
+        "f": pa.array([None if i % 5 == 0 else float(x) / 4 for i, x in enumerate(v)]),
+        "z": pa.nulls(n, type=pa.int64()),
+        "name": pa.array([f"n{x:05d}" for x in rng.integers(0, 99999, n)])})
+
+
+def test_total_matches_arrow(ray_session):
+    """sum/count/count_all/min/max over 8 blocks, with nulls and an
+    all-null column, equal Arrow's keyless ``group_by`` of the whole
+    table (the float values are quarters, so every sum is exact)."""
+    from deed_ocr_ray.pipelines.exchange import total
+
+    t = _total_input()
+    got = total(_blocks(t, 8), _TOTALS)
+    want = t.group_by([]).aggregate(
+        [([] if c is None else c, fn) for c, fn in _TOTALS.values()])
+    assert got == dict(zip(_TOTALS, want.to_pylist()[0].values()))
+    assert got["none_s"] is None and got["none_c"] == 0
+
+
+@pytest.mark.parametrize("empty", ["typed", "filtered"])
+def test_total_empty_input(ray_session, empty):
+    """Input without rows (typed-empty, or filtered to zero rows):
+    counts are 0, every other aggregate None."""
+    from deed_ocr_ray.pipelines.exchange import total
+
+    t = _total_input(100)
+    ds = (_blocks(t.slice(0, 0), 3) if empty == "typed"
+          else _blocks(t, 4).filter(expr="v > 5000"))
+    assert total(ds, _TOTALS) == {
+        name: 0 if fn.startswith("count") else None
+        for name, (_, fn) in _TOTALS.items()}
+
+
+def test_total_of_materialized_input_starts_no_executor(ray_session, monkeypatch):
+    """A materialized input (here an exchange output) is read from its
+    blocks in hand: ``total`` starts no Ray Data execution."""
+    from deed_ocr_ray.pipelines.exchange import keyed_aggregate, total
+
+    keys = pa.table({"k": np.arange(600, dtype=np.int64) % 37})
+    agg = keyed_aggregate(_blocks(keys, 3), "k", {"n": (None, "count_all")})
+    started = _executions(monkeypatch)
+    assert total(agg, {"n": ("n", "sum"), "k": ("k", "max")}) == {"n": 600, "k": 36}
+    assert started == []
 
 
 # ------------------------------------------------------- gather and top_k

@@ -186,6 +186,30 @@ def test_pagerank_matches_dense_reference(pages_ds):
     assert sum(got.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_pagerank_iteration_is_one_execution(pages_ds, monkeypatch):
+    """Each power iteration starts one Ray Data execution (the map
+    before its keyed aggregate): the dangling mass is an
+    ``exchange.total`` over the aggregate's materialized output, not
+    an execution of its own."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    ds, _ = pages_ds
+    hg = host_graph_dataset(outlinks_dataset(ds)).materialize()
+    started, execute = [], StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        started.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    runs = []
+    for n_iter in (1, 3):
+        del started[:]
+        pagerank_dataset(hg, PR_DAMPING, n_iter).materialize()
+        runs.append(len(started))
+    assert runs[1] - runs[0] == 2
+
+
 def test_anchor_terms_topk_invariants(pages_ds, tmp_path, monkeypatch):
     import ray.data
 

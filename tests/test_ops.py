@@ -126,6 +126,32 @@ def test_lsh_overflow_observable(ray_session, tmp_path):
     assert over_dflt["dropped_doc_slots"] == 0
 
 
+def test_overflow_summary_runs_its_input_once(ray_session, tmp_path):
+    """The overflow summary reads its sentinel rows in one pass: no
+    separate ``count()`` run before the aggregate."""
+    import pyarrow as pa
+    import ray.data
+
+    from deed_ocr_ray.pipelines.dedup import _overflow_summary
+
+    log = tmp_path / "calls"
+
+    def logged(t):
+        with open(log, "a") as f:
+            f.write("call\n")
+        return t
+
+    sentinels = pa.table({"doc_a": pa.array([-1] * 4, type=pa.int64()),
+                          "doc_b": pa.array([30, 12, 9, 30], type=pa.int64()),
+                          "n_bands": pa.array([2, 1, 3, 1], type=pa.int64())})
+    over = ray.data.from_arrow([sentinels.slice(0, 2), sentinels.slice(2)]).map_batches(
+        logged, batch_size=None, batch_format="pyarrow")
+    row = _overflow_summary(over, "n_bands").take_all()
+    assert row == [{"n_overflow_buckets": 7, "max_bucket_size": 30,
+                    "dropped_doc_slots": 30 * 2 + 12 + 27 + 30}]
+    assert log.read_text().count("call") == 2
+
+
 def test_simhash_hot_band_capped_and_observable(ray_session, tmp_path):
     """A hot band bucket (near-identical boilerplate docs sharing all
     four 16-bit band values) must be capped — bounded time — and the

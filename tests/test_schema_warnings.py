@@ -43,7 +43,9 @@ QUERIES = ["term_stats", "sessionize", "tfidf_topk", "q3_shipping_priority",
            "topk_orders", "price_quantile_sketch", "hll_users",
            "heavy_hitters", "corr_qty_discount", "kmeans",
            # the part_exchange queries that no group above names
-           "order_rank", "range_join_ship", "running_total"]
+           "order_rank", "range_join_ship", "running_total",
+           # the exchange.total queries that no group above names
+           "q6_revenue_filter"]
 
 
 @pytest.mark.parametrize("name", QUERIES)

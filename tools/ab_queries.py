@@ -13,13 +13,18 @@ median seconds, the B/A ratio and whether the value hashes
     python tools/ab_queries.py <checkout A> <checkout B> --sf <sf_dir> \\
         [--cpus 4] [--reps 3] [query ...]
 
-With no query named, every query of the checkout's registry runs. A
-query's time is ``to_pandas(query(sf_dir))`` in the pass's process,
-after one small Ray Data job has started the workers; a ratio above
-1.10 is flagged ``SLOWER``. Re-run a flagged query on its own before
-concluding anything: CPU steal on a shared host moves single timings
-a lot. Exits 1 when a query's value hashes differ (``DIFFERENT``) or a
-query errors or is missing on one side, so a script can gate on it.
+With no query named, every query of the checkout's registry runs. Each
+query runs twice in a row in the pass's process, after one small Ray
+Data job has started the workers, and its time is the second, warm
+run's ``to_pandas(query(sf_dir))``: the first run pays what the query
+needs the first time in a session (imports, worker start-up, cached
+reads), so a pass that names one query measures that query, not the
+session's start-up. Both runs are hashed; two runs that disagree count
+as a hash of their own. A ratio above 1.10 is flagged ``SLOWER``.
+Re-run a flagged query on its own before concluding anything: CPU
+steal on a shared host moves single timings a lot. Exits 1 when a
+query's value hashes differ (``DIFFERENT``) or a query errors or is
+missing on one side, so a script can gate on it.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ import time
 def worker(checkout: str, sf_dir: str, cpus: int, rep: int,
            names: list) -> None:
     """One pass: run ``names`` (all registry queries when empty) of the
-    checkout's ``__ray_entry__``, rotated left by ``rep``, and print one
-    JSON line per query."""
+    checkout's ``__ray_entry__``, rotated left by ``rep``, each twice,
+    and print one JSON line per query with the second run's time."""
     from check_oracles import to_pandas, value_hash
 
     sys.path.insert(0, checkout)  # after check_oracles put its own repo first
@@ -55,14 +60,16 @@ def worker(checkout: str, sf_dir: str, cpus: int, rep: int,
     names = names or list(qs)
     shift = rep % len(names)
     for name in names[shift:] + names[:shift]:
-        t0 = time.perf_counter()
         try:
+            cold = value_hash(to_pandas(qs[name](sf_dir)))
+            t0 = time.perf_counter()
             df = to_pandas(qs[name](sf_dir))
         except Exception as e:  # noqa: BLE001
             rec = {"q": name, "error": f"{type(e).__name__}: {e}"[:200]}
         else:
-            rec = {"q": name, "s": time.perf_counter() - t0,
-                   "rows": len(df), "hash": value_hash(df)}
+            warm = value_hash(df)
+            rec = {"q": name, "s": time.perf_counter() - t0, "rows": len(df),
+                   "hash": warm if warm == cold else f"{cold}/{warm}"}
         print(json.dumps(rec), flush=True)
     ray.shutdown()
 
